@@ -4,11 +4,13 @@
 // both executed; run_pipeline throws on any disagreement) at sizes the
 // dense path can still materialize — on the rectangular sor2d AND on the
 // affine (slab-decomposed) triangular_matvec.  Part 2 sweeps the symbolic
-// path far past the dense ceiling: with the group lattice (PR 5) the
-// full pipeline — grouping, mapping, theorem checks, and the simulated
-// execution — runs sor2d past 1e7 projection lines at flat peak RSS, and
-// the grouping+mapping stages alone (O(slabs + deps) closed forms, no
-// per-line work) reach 1e8 lines in microseconds.
+// path far past the dense ceiling: with the group lattice the full
+// pipeline — grouping, mapping, theorem checks, and the simulated
+// execution — runs sor2d past 1e7 projection lines at flat peak RSS; the
+// chain layout's closed-form sweep and simulator plan sor2d and the
+// strided recurrence at N = 2^30 (~2^31 lines); and the grouping+mapping
+// stages alone (O(slabs + deps) closed forms) reach 1e8 lines in
+// microseconds.
 //
 // Only the symbolic sweeps route metrics into the shared registry, so the
 // HYPART_BENCH_METRICS dump must report pipeline.points_materialized = 0
@@ -23,6 +25,7 @@
 #include "core/pipeline.hpp"
 #include "loop/iter_space.hpp"
 #include "mapping/hypercube_map.hpp"
+#include "obs/metrics.hpp"
 #include "partition/group_lattice.hpp"
 #include "perf/table.hpp"
 #include "schedule/hyperplane.hpp"
@@ -151,6 +154,46 @@ void closure_sweep() {
               "2-D plane lattice; the strided and disjunctive sweeps stay O(lines).\n");
 }
 
+void closed_form_sweep() {
+  // The chain layout's sweep and simulator are closed-form: N = 2^30 is
+  // ~2^31 projection lines (over ten minutes line by line at ~0.36 µs per
+  // line), so finishing here at all shows the closed form ran.  Each run reports into its own
+  // registry (the shared dump's existing counters stay as they were); only
+  // the lattice layout and closed-form sweep counters are forwarded, so the
+  // CI check pipeline.lattice_sweep.closed_form == pipeline.lattice_layout.chain
+  // covers these runs too.
+  std::printf("\nClosed-form chain sweep + simulator at N = 2^30 (full pipeline):\n");
+  TextTable t({"workload", "N", "iterations", "lines", "blocks", "steps", "messages",
+               "closed_form", "wall_ms"});
+  auto run_case = [&](const char* name, std::int64_t n, const LoopNest& nest) {
+    obs::MetricsRegistry local;
+    PipelineConfig cfg = base_config();
+    cfg.space_mode = SpaceMode::Symbolic;
+    cfg.obs = obs::ObsContext{nullptr, &local};
+    auto t0 = std::chrono::steady_clock::now();
+    PipelineResult r = run_pipeline(nest, cfg);
+    double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                    .count();
+    const obs::MetricsSnapshot snap = local.snapshot();
+    auto counter = [&](const char* key) {
+      auto it = snap.counters.find(key);
+      return it == snap.counters.end() ? std::int64_t{0} : it->second;
+    };
+    const std::int64_t closed = counter("pipeline.lattice_sweep.closed_form");
+    bench::metrics().add("pipeline.lattice_sweep.closed_form", closed);
+    bench::metrics().add("pipeline.lattice_layout.chain", counter("pipeline.lattice_layout.chain"));
+    bench::metrics().add("pipeline.lattice_layout.plane", counter("pipeline.lattice_layout.plane"));
+    t.row(name, static_cast<std::uint64_t>(n), r.iteration_count(), lines_of(r), blocks_of(r),
+          static_cast<std::uint64_t>(r.sim.steps), static_cast<std::uint64_t>(r.sim.messages),
+          static_cast<std::uint64_t>(closed), ms);
+  };
+  const std::int64_t n = std::int64_t{1} << 30;
+  run_case("sor2d", n, workloads::sor2d(n, n));
+  run_case("strided_recurrence s=3", n, workloads::strided_recurrence(n, 3));
+  std::printf("%s", t.to_string().c_str());
+  std::printf("2^60 iterations each, counted exactly; wall time is independent of N.\n");
+}
+
 void grouping_mapping_sweep() {
   std::printf("\nGrouping + mapping only (closed forms; no per-line pass, no simulation):\n");
   TextTable t({"N", "lines", "groups", "r", "procs", "build+map_us", "peakRSS_MiB"});
@@ -182,6 +225,7 @@ void report() {
   triangular_verify();
   triangular_sweep();
   closure_sweep();
+  closed_form_sweep();
   grouping_mapping_sweep();
 }
 

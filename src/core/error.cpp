@@ -13,6 +13,7 @@ const char* to_string(ErrorKind kind) {
     case ErrorKind::Io: return "io";
     case ErrorKind::Internal: return "internal";
     case ErrorKind::Overloaded: return "overloaded";
+    case ErrorKind::Overflow: return "overflow";
   }
   return "?";
 }
@@ -28,6 +29,7 @@ int Error::exit_code() const {
     case ErrorKind::Fault: return 77;
     case ErrorKind::Config: return 78;
     case ErrorKind::Overloaded: return 79;
+    case ErrorKind::Overflow: return 80;
   }
   return 70;
 }

@@ -7,6 +7,7 @@
 // Invariant violations that indicate a hypart bug keep Kind::Internal.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +23,7 @@ enum class ErrorKind {
   Io,             ///< file read/write failure
   Internal,       ///< invariant violation (a hypart bug)
   Overloaded,     ///< admission control rejected work (bounded queue full)
+  Overflow,       ///< a symbolic count, step or cost does not fit in int64
 };
 
 /// Stable lower-case name of a kind ("parse", "config", ...).
@@ -38,7 +40,7 @@ class Error : public std::runtime_error {
 
   /// Documented CLI exit code for this kind (BSD sysexits where one fits):
   ///   Parse 65, Unsatisfiable 69, Internal 70, Io 74, Stall 75,
-  ///   WorkerDeath 76, Fault 77, Config 78, Overloaded 79.
+  ///   WorkerDeath 76, Fault 77, Config 78, Overloaded 79, Overflow 80.
   [[nodiscard]] int exit_code() const;
 
  private:
@@ -74,5 +76,43 @@ class FaultError : public Error {
  public:
   explicit FaultError(const std::string& message) : Error(ErrorKind::Fault, message) {}
 };
+
+/// A symbolic quantity (iteration count, schedule span, cost, closed-form
+/// sum) left the int64 range.  The answer would have wrapped, so none is
+/// given; serve replies with kind "overflow" and never caches it.
+class OverflowError : public Error {
+ public:
+  explicit OverflowError(const std::string& what)
+      : Error(ErrorKind::Overflow, "int64 overflow in " + what) {}
+};
+
+/// Exact intermediate for closed-form sums (a GCC/Clang extension; the
+/// `__extension__` keeps -Wpedantic quiet).
+__extension__ typedef __int128 int128;
+
+/// Checked int64 arithmetic for symbolic counts: each helper returns the
+/// exact result or throws OverflowError naming `what`.
+namespace checked {
+inline std::int64_t add(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r = 0;
+  if (__builtin_add_overflow(a, b, &r)) throw OverflowError(what);
+  return r;
+}
+inline std::int64_t sub(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r = 0;
+  if (__builtin_sub_overflow(a, b, &r)) throw OverflowError(what);
+  return r;
+}
+inline std::int64_t mul(std::int64_t a, std::int64_t b, const char* what) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) throw OverflowError(what);
+  return r;
+}
+/// Narrow an exact __int128 intermediate back to int64.
+inline std::int64_t narrow(int128 v, const char* what) {
+  if (v > INT64_MAX || v < INT64_MIN) throw OverflowError(what);
+  return static_cast<std::int64_t>(v);
+}
+}  // namespace checked
 
 }  // namespace hypart

@@ -205,6 +205,11 @@ PipelineResult run_symbolic(const LoopNest& nest, const PipelineConfig& config) 
     reg->add("pipeline.lattice_fallback." + fallback_reason);
   if (built) {
     r.lattice = std::make_unique<GroupLattice>(std::move(*built));
+    if (reg != nullptr) {
+      reg->add(r.lattice->layout() == LatticeLayout::Chain ? "pipeline.lattice_layout.chain"
+                                                          : "pipeline.lattice_layout.plane");
+      if (r.lattice->closed_form_pays()) reg->add("pipeline.lattice_sweep.closed_form");
+    }
     LatticeSweepResult sweep;
     {
       obs::Span span(sink, "partition", "pipeline");
@@ -389,6 +394,9 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
     }
 
     LatticeSweepResult sweep = lat->sweep(config.validate);
+    if (lat->layout() == LatticeLayout::Chain &&
+        !(lat->sweep_closed_form(config.validate) == lat->sweep_per_line(config.validate)))
+      fail("lattice sweep closed form vs per-line");
     if (sweep.stats.group_count != r.grouping.group_count() ||
         sweep.stats.total_iterations != r.space->size() ||
         sweep.stats.min_block !=
@@ -437,6 +445,13 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
         sim_opts.flops_per_iteration = config.flops_override.value_or(nest.body_flops());
         sim_opts.obs = {};
         SimResult ls = simulate_execution(*lat, lmap, cube, config.machine, sim_opts);
+        if (lat->layout() == LatticeLayout::Chain &&
+            sim_opts.accounting == CommAccounting::PaperMaxChannel &&
+            sim_opts.faults.machine_empty() &&
+            !same_outcome(
+                simulate_execution_closed_form(*lat, lmap, cube, config.machine, sim_opts),
+                simulate_execution_per_line(*lat, lmap, cube, config.machine, sim_opts)))
+          fail("lattice simulation closed form vs per-line");
         if (!(ls.total == r.sim.total) || ls.steps != r.sim.steps ||
             ls.messages != r.sim.messages || ls.words != r.sim.words ||
             !(ls.compute_bottleneck == r.sim.compute_bottleneck) ||

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/error.hpp"
 #include "loop/index_set.hpp"
 
 namespace hypart {
@@ -129,9 +130,14 @@ void IterSpace::init() {
           s.box[j] = {dims_[j].lower.evaluate_lower(vals), dims_[j].upper.evaluate_upper(vals)};
           if (s.box[j].first > s.box[j].second) return;  // empty slab
         }
-        points *= static_cast<std::uint64_t>(s.box[j].second - s.box[j].first + 1);
+        if (__builtin_mul_overflow(
+                points, static_cast<std::uint64_t>(s.box[j].second - s.box[j].first + 1),
+                &points))
+          throw OverflowError("IterSpace: iteration count");
       }
-      size_ += points;
+      if (__builtin_add_overflow(size_, points, &size_) ||
+          size_ > static_cast<std::uint64_t>(INT64_MAX))
+        throw OverflowError("IterSpace: iteration count");
       slab_index_.emplace(s.key, slabs_.size());
       slabs_.push_back(std::move(s));
       return;
@@ -203,16 +209,19 @@ std::uint64_t IterSpace::arc_count(const IntVec& d) const {
         prod = 0;
         break;
       }
-      prod *= static_cast<std::uint64_t>(hi - lo + 1);
+      if (__builtin_mul_overflow(prod, static_cast<std::uint64_t>(hi - lo + 1), &prod))
+        throw OverflowError("IterSpace::arc_count");
     }
-    total += prod;
+    if (__builtin_add_overflow(total, prod, &total)) throw OverflowError("IterSpace::arc_count");
   }
   return total;
 }
 
 std::uint64_t IterSpace::total_arc_count() const {
   std::uint64_t n = 0;
-  for (const IntVec& d : deps_) n += arc_count(d);
+  for (const IntVec& d : deps_)
+    if (__builtin_add_overflow(n, arc_count(d), &n))
+      throw OverflowError("IterSpace::total_arc_count");
   return n;
 }
 
@@ -220,28 +229,30 @@ std::int64_t IterSpace::min_step(const IntVec& pi) const {
   if (pi.size() != dims_.size())
     throw std::invalid_argument("IterSpace::min_step: dimension mismatch");
   if (empty()) throw std::logic_error("IterSpace::min_step: empty space");
-  std::int64_t best = INT64_MAX;
+  // Exact in int128 (|Π·x| < n·2^126 for any int64 corner); only the
+  // extreme is narrowed back, so a wrapping span is an OverflowError.
+  int128 best = INT64_MAX;
   for (const Slab& slab : slabs_) {
-    std::int64_t s = 0;
+    int128 s = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i)
-      s += pi[i] * (pi[i] >= 0 ? slab.box[i].first : slab.box[i].second);
+      s += static_cast<int128>(pi[i]) * (pi[i] >= 0 ? slab.box[i].first : slab.box[i].second);
     best = std::min(best, s);
   }
-  return best;
+  return checked::narrow(best, "IterSpace::min_step");
 }
 
 std::int64_t IterSpace::max_step(const IntVec& pi) const {
   if (pi.size() != dims_.size())
     throw std::invalid_argument("IterSpace::max_step: dimension mismatch");
   if (empty()) throw std::logic_error("IterSpace::max_step: empty space");
-  std::int64_t best = INT64_MIN;
+  int128 best = INT64_MIN;
   for (const Slab& slab : slabs_) {
-    std::int64_t s = 0;
+    int128 s = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i)
-      s += pi[i] * (pi[i] >= 0 ? slab.box[i].second : slab.box[i].first);
+      s += static_cast<int128>(pi[i]) * (pi[i] >= 0 ? slab.box[i].second : slab.box[i].first);
     best = std::max(best, s);
   }
-  return best;
+  return checked::narrow(best, "IterSpace::max_step");
 }
 
 std::optional<std::pair<std::int64_t, std::int64_t>> IterSpace::line_range(

@@ -135,7 +135,8 @@ class IterSpace {
   [[nodiscard]] std::uint64_t total_arc_count() const;
 
   /// Extremes of Π·x over J, attained at slab corners; throw
-  /// std::logic_error when the space is empty.
+  /// std::logic_error when the space is empty and OverflowError when Π·x
+  /// leaves int64 at a corner.
   [[nodiscard]] std::int64_t min_step(const IntVec& pi) const;
   [[nodiscard]] std::int64_t max_step(const IntVec& pi) const;
 

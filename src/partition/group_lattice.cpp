@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "core/error.hpp"
 #include "loop/dependence.hpp"
 
 namespace hypart {
@@ -629,12 +630,9 @@ void GroupLattice::for_each_line(
     std::int64_t step_anchor = c * pi_delta;
     for (std::int64_t t = tmin; t <= tmax; ++t) {
       auto range = space_->line_range(p, u_);
-      if (range) {
-        const GroupKey g = degenerate()
-                               ? GroupKey{t, 0, t}
-                               : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
-        visit(g, range->second - range->first + 1, step_anchor + range->first * sigma_);
-      }
+      if (range)
+        visit(chain_group(m, t), range->second - range->first + 1,
+              step_anchor + range->first * sigma_);
       for (std::size_t i = 0; i < 2; ++i) p[i] += gamma_l_ * delta_[i];
       step_anchor += gamma_l_ * pi_delta;
     }
@@ -690,9 +688,7 @@ void GroupLattice::for_each_arc_bundle(
     for (std::int64_t t = tmin; t <= tmax; ++t) {
       auto range = space_->line_range(p, u_);
       if (range) {
-        const GroupKey src = degenerate()
-                                 ? GroupKey{t, 0, t}
-                                 : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
+        const GroupKey src = chain_group(m, t);
         for (std::size_t k = 0; k < nd; ++k) {
           auto mrange = space_->line_range(pd[k], u_);
           if (!mrange) continue;
@@ -713,99 +709,144 @@ void GroupLattice::for_each_arc_bundle(
   }
 }
 
-LatticeSweepResult GroupLattice::sweep(bool validate) const {
-  LatticeSweepResult out;
-  using GroupOffset = LatticeSweepResult::GroupOffset;
-  const std::vector<IntVec>& deps = space_->dependences();
-  const std::size_t nd = deps.size();
-  const IntVec& pi = tf_.pi;
+namespace {
 
-  // Per-group rolling state (O(r + deps), reset at each group boundary).
-  struct LineRec {
-    std::int64_t first_step;
-    std::int64_t pop;
-  };
-  std::vector<LineRec> window;
-  window.reserve(static_cast<std::size_t>(r_));
-  std::vector<OffsetSet> dep_offs(nd);  // per-dep distinct group offsets
-  OffsetSet succ;                       // union over deps (out-degree)
-  std::int64_t acc = 0;                 // current group's iteration count
-  bool group_open = false;
-  GroupKey cur{};
+using GroupOffset = LatticeSweepResult::GroupOffset;
+using GroupKey = GroupLattice::GroupKey;
 
-  out.theorem1 = true;
-  out.lemmas.lemma2_holds = true;
-  out.lemmas.lemma3_holds = true;
-  // A dependence direction is "special" (Lemma 2) if its projected vector
-  // equals the grouping or an auxiliary vector — the dense checker's
-  // is_special_direction.
-  auto is_special = [&](std::size_t k) {
-    if (!grouping_) return false;
-    if (k == *grouping_ || pdeps_[k] == pdeps_[*grouping_]) return true;
-    if (aux_ && (k == *aux_ || pdeps_[k] == pdeps_[*aux_])) return true;
-    return false;
-  };
+/// Key of one integer sum of a sweep: line populations (kind kPop), the
+/// group count (kGroups), or the arcs of dependence `kind` landing at group
+/// offset `off`.
+struct TallyKey {
+  std::int64_t kind = 0;
+  GroupOffset off{};
+  friend bool operator==(const TallyKey&, const TallyKey&) = default;
+};
+constexpr std::int64_t kPop = -1;
+constexpr std::int64_t kGroups = -2;
 
-  out.stats.min_block = std::numeric_limits<std::int64_t>::max();
-  std::uint64_t covered = 0;
-  std::size_t arc_total = 0, arc_inter = 0;
-
-  auto close_group = [&]() {
-    if (!group_open) return;
-    ++out.stats.group_count;
-    out.stats.min_block = std::min(out.stats.min_block, acc);
-    out.stats.max_block = std::max(out.stats.max_block, acc);
-    if (validate) {
-      succ.clear();
-      for (std::size_t k = 0; k < nd; ++k) {
-        if (is_zero(pdeps_[k])) continue;
-        const std::size_t fan = dep_offs[k].size();
-        if (is_special(k)) {
-          out.lemmas.worst_lemma2_fanout = std::max(out.lemmas.worst_lemma2_fanout, fan);
-          if (fan > 1) out.lemmas.lemma2_holds = false;
-        } else {
-          out.lemmas.worst_lemma3_fanout = std::max(out.lemmas.worst_lemma3_fanout, fan);
-          if (fan > 2) out.lemmas.lemma3_holds = false;
-        }
-        dep_offs[k].merge_into(succ);
-        dep_offs[k].clear();
+/// Checked integer sums over a handful of keys (a linear scan beats a map
+/// at this size).
+struct Tally {
+  std::vector<std::pair<TallyKey, std::int64_t>> v;
+  void add(const TallyKey& key, std::int64_t x) {
+    for (auto& [k, val] : v)
+      if (k == key) {
+        val = checked::add(val, x, "lattice sweep sums");
+        return;
       }
-      out.theorem2.max_out_degree = std::max(out.theorem2.max_out_degree, succ.size());
-    }
-    window.clear();
-    acc = 0;
-  };
+    v.emplace_back(key, x);
+  }
+  [[nodiscard]] const std::int64_t* find(const TallyKey& key) const {
+    for (const auto& [k, val] : v)
+      if (k == key) return &val;
+    return nullptr;
+  }
+  [[nodiscard]] std::int64_t get(const TallyKey& key) const {
+    const std::int64_t* x = find(key);
+    return x ? *x : 0;
+  }
+};
 
-  // One populated line of group g: Theorem 1 window, arc bundles, offsets.
-  auto visit_line = [&](const GroupKey& g, std::int64_t k_lo, std::int64_t k_hi,
-                        std::int64_t step_anchor,
-                        const std::function<std::optional<std::pair<std::int64_t, std::int64_t>>(
-                            std::size_t)>& dep_range,
-                        const std::function<std::optional<GroupKey>(std::size_t)>& dep_target) {
-    if (!group_open || !(g == cur)) {
+/// A period no run can hold three of: periodic_sum evaluates every cell.
+constexpr std::int64_t kNoPeriod = std::numeric_limits<std::int64_t>::max();
+
+/// Reusable per-period tallies of periodic_sum (kept across runs so the
+/// closed form allocates per sweep, not per run).
+struct PeriodTallies {
+  Tally first, last;
+};
+
+/// Σ of a per-cell tally over cells [x0, x1] whose values are linear plus
+/// `period`-periodic in the cell index (one run between breakpoints).  The
+/// first and last full periods and the remainder are evaluated explicitly
+/// by `eval(x, into)`, which may also run per-cell checks; period j in
+/// between sums to S_0 + j·Δ with Δ = (S_{J-1} - S_0)/(J - 1), so the
+/// middle is an arithmetic series.  A Δ that does not divide exactly means
+/// the run was not linear-periodic — a breakpoint is missing — and raises
+/// an internal error rather than a wrong sum.
+template <class Eval>
+void periodic_sum(std::int64_t x0, std::int64_t x1, std::int64_t period, Tally& total,
+                  PeriodTallies& scratch, Eval&& eval) {
+  const std::int64_t n = x1 - x0 + 1;
+  const std::int64_t periods = n / period;
+  if (periods < 3) {
+    for (std::int64_t x = x0; x <= x1; ++x) eval(x, total);
+    return;
+  }
+  Tally& first = scratch.first;
+  Tally& last = scratch.last;
+  first.v.clear();
+  last.v.clear();
+  for (std::int64_t i = 0; i < period; ++i) eval(x0 + i, first);
+  const std::int64_t xl = x0 + (periods - 1) * period;
+  for (std::int64_t i = 0; i < period; ++i) eval(xl + i, last);
+  for (std::int64_t x = x0 + periods * period; x <= x1; ++x) eval(x, total);
+  const int128 j1 = periods - 1;
+  auto fold = [&](const TallyKey& key) {
+    const int128 s0 = first.get(key);
+    const int128 sl = last.get(key);
+    if ((sl - s0) % j1 != 0)
+      throw Error(ErrorKind::Internal, "lattice closed form: run is not linear-periodic");
+    const int128 mid = (j1 - 1) * s0 + (sl - s0) / j1 * ((j1 - 1) * j1 / 2);
+    total.add(key, checked::narrow(s0 + sl + mid, "lattice closed-form sum"));
+  };
+  for (const auto& [key, val] : first.v) fold(key);
+  for (const auto& [key, val] : last.v)
+    if (!first.find(key)) fold(key);
+}
+
+/// The per-line accumulator shared by the per-line pass and the closed
+/// form's explicitly evaluated groups: sums go to `rec`, per-group
+/// statistics and the Theorem 1/Theorem 2/lemma checks run as lines arrive
+/// in group-contiguous order.
+class SweepState {
+ public:
+  SweepState(const GroupLattice& gl, bool validate)
+      : gl_(gl), validate_(validate), nd_(gl.original_deps().size()), dep_offs_(nd_) {
+    window_.reserve(static_cast<std::size_t>(gl.group_size_r()));
+    out_.theorem1 = true;
+    out_.lemmas.lemma2_holds = true;
+    out_.lemmas.lemma3_holds = true;
+    out_.stats.min_block = std::numeric_limits<std::int64_t>::max();
+  }
+
+  Tally sums;
+  Tally* rec = &sums;  ///< where this line's sums go
+
+  /// One populated line of group g with k-range [k_lo, k_hi] and anchor
+  /// step Π·anchor; `dep_range(k)` is the k-range of the line shifted by
+  /// d_k, `dep_target(k)` the group of its target line (nullopt when that
+  /// line is unpopulated or d_k ∥ Π).
+  template <class DepRange, class DepTarget>
+  void line(const GroupKey& g, std::int64_t k_lo, std::int64_t k_hi, std::int64_t step_anchor,
+            DepRange&& dep_range, DepTarget&& dep_target) {
+    if (!group_open_ || !(g == cur_)) {
       close_group();
-      group_open = true;
-      cur = g;
+      group_open_ = true;
+      cur_ = g;
+      rec->add({kGroups, {}}, 1);
     }
     const std::int64_t pop = k_hi - k_lo + 1;
-    const std::int64_t first_step = step_anchor + k_lo * sigma_;
-    covered += static_cast<std::uint64_t>(pop);
-    acc += pop;
+    const std::int64_t first_step = step_anchor + k_lo * gl_.step_stride();
+    rec->add({kPop, {}}, pop);
+    acc_ += pop;
 
-    if (validate) {
+    if (validate_) {
       // Theorem 1 within the group: lines collide iff their step APs
       // (first + k·σ, k in [0, pop)) intersect — same test as the dense
       // checker, against every earlier line of this group.
-      for (const LineRec& o : window) {
+      const std::int64_t sigma = gl_.step_stride();
+      for (const LineRec& o : window_) {
         const std::int64_t diff = first_step - o.first_step;
-        if (diff % sigma_ != 0) continue;
-        const std::int64_t msh = diff / sigma_;
-        if (msh >= -(pop - 1) && msh <= o.pop - 1) out.theorem1 = false;
+        if (diff % sigma != 0) continue;
+        const std::int64_t msh = diff / sigma;
+        if (msh >= -(pop - 1) && msh <= o.pop - 1) out_.theorem1 = false;
       }
-      window.push_back(LineRec{first_step, pop});
+      window_.push_back(LineRec{first_step, pop});
     }
 
-    for (std::size_t k = 0; k < nd; ++k) {
+    for (std::size_t k = 0; k < nd_; ++k) {
       // Group-digraph edges use projected-point existence (the dense
       // checker's find_point semantics), not arc counts: an edge exists
       // whenever the shifted line is populated.
@@ -816,98 +857,456 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
       if (mrange) {
         const std::int64_t lo2 = std::max(k_lo, mrange->first);
         const std::int64_t hi2 = std::min(k_hi, mrange->second);
-        if (lo2 <= hi2) {
-          const std::size_t count = static_cast<std::size_t>(hi2 - lo2 + 1);
-          arc_total += count;
-          if (!(off == GroupOffset{})) arc_inter += count;
-          out.offset_weights[{k, off}] += static_cast<std::int64_t>(hi2 - lo2 + 1);
-        }
+        if (lo2 <= hi2) rec->add({static_cast<std::int64_t>(k), off}, hi2 - lo2 + 1);
       }
-      if (validate && dst && !(off == GroupOffset{})) dep_offs[k].insert(off);
+      if (validate_ && dst && !(off == GroupOffset{})) dep_offs_[k].insert(off);
     }
+  }
+
+  LatticeSweepResult finish() {
+    close_group();
+    out_.stats.group_count = static_cast<std::uint64_t>(sums.get({kGroups, {}}));
+    out_.stats.total_iterations = static_cast<std::uint64_t>(sums.get({kPop, {}}));
+    if (out_.stats.group_count == 0) out_.stats.min_block = 0;
+    std::int64_t arc_total = 0, arc_inter = 0;
+    for (const auto& [key, val] : sums.v) {
+      if (key.kind < 0 || val == 0) continue;
+      out_.offset_weights[{static_cast<std::size_t>(key.kind), key.off}] = val;
+      arc_total = checked::add(arc_total, val, "lattice arc count");
+      if (!(key.off == GroupOffset{})) arc_inter += val;
+    }
+    out_.partition.total_arcs = static_cast<std::size_t>(arc_total);
+    out_.partition.interblock_arcs = static_cast<std::size_t>(arc_inter);
+    out_.partition.intrablock_arcs = static_cast<std::size_t>(arc_total - arc_inter);
+    out_.exact_cover = out_.stats.total_iterations == gl_.space().size();
+    if (validate_) {
+      out_.theorem2.m = nd_;
+      out_.theorem2.beta = gl_.beta();
+      out_.theorem2.bound = 2 * nd_ - gl_.beta();
+      out_.theorem2.holds = out_.theorem2.max_out_degree <= out_.theorem2.bound;
+    }
+    return std::move(out_);
+  }
+
+ private:
+  struct LineRec {
+    std::int64_t first_step;
+    std::int64_t pop;
   };
 
-  if (layout_ == LatticeLayout::Plane) {
-    const std::int64_t pi_dl = dot(pi, dl_orig_);
-    const std::int64_t pi_da = dot(pi, da_orig_);
-    const std::int64_t base = dot(pi, seed_entry_);
-    for (const PlaneChainRec& ch : chains_) {
-      IntVec p = plane_anchor(ch.t_lo, ch.b);
-      std::vector<IntVec> pd(nd);
-      for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-      std::int64_t step_anchor = base + ch.t_lo * pi_dl + ch.b * pi_da;
-      for (std::int64_t t = ch.t_lo; t <= ch.t_hi; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range) {
-          const GroupKey g{floor_div(t, r_), ch.b, 0};
-          visit_line(
-              g, range->first, range->second, step_anchor,
-              [&](std::size_t k) { return space_->line_range(pd[k], u_); },
-              [&](std::size_t k) -> std::optional<GroupKey> {
-                if (is_zero(pdeps_[k])) return std::nullopt;
-                const PlaneChainRec* tc = plane_chain(ch.b + db_[k]);
-                const std::int64_t tt = t + dt_[k];
-                if (!tc || tt < tc->t_lo || tt > tc->t_hi) return std::nullopt;
-                return GroupKey{floor_div(tt, r_), tc->b, 0};
-              });
-        }
-        for (std::size_t i = 0; i < 3; ++i) {
-          p[i] += dl_orig_[i];
-          for (std::size_t k = 0; k < nd; ++k) pd[k][i] += dl_orig_[i];
-        }
-        step_anchor += pi_dl;
-      }
-    }
-  } else {
-    const std::int64_t pi_delta = dot(pi, delta_);
-    for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const auto& [tmin, tmax] = comp_t_[m];
-      const std::int64_t cs = c_seed_ + static_cast<std::int64_t>(m) * lexdir_;
-      std::int64_t c = cs + tmin * gamma_l_;
-      IntVec p = line_anchor(c);
-      std::vector<IntVec> pd(nd);
-      for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-      std::int64_t step_anchor = c * pi_delta;
-      for (std::int64_t t = tmin; t <= tmax; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range) {
-          const GroupKey g =
-              degenerate() ? GroupKey{t, 0, t}
-                           : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
-          visit_line(
-              g, range->first, range->second, step_anchor,
-              [&](std::size_t k) { return space_->line_range(pd[k], u_); },
-              [&](std::size_t k) -> std::optional<GroupKey> {
-                if (is_zero(pdeps_[k])) return std::nullopt;
-                const std::int64_t ct = c + gamma_[k];
-                if (ct < c_lo_ || ct > c_hi_) return std::nullopt;
-                return group_of_line(ct);
-              });
-        }
-        for (std::size_t i = 0; i < 2; ++i) {
-          p[i] += gamma_l_ * delta_[i];
-          for (std::size_t k = 0; k < nd; ++k) pd[k][i] += gamma_l_ * delta_[i];
-        }
-        c += gamma_l_;
-        step_anchor += gamma_l_ * pi_delta;
-      }
-    }
+  /// A dependence direction is "special" (Lemma 2) if its projected vector
+  /// equals the grouping or an auxiliary vector — the dense checker's
+  /// is_special_direction.
+  [[nodiscard]] bool is_special(std::size_t k) const {
+    const auto l = gl_.grouping_vector_index();
+    if (!l) return false;
+    const IntVec& pk = gl_.projected_dep_scaled(k);
+    if (k == *l || pk == gl_.projected_dep_scaled(*l)) return true;
+    const auto ax = gl_.auxiliary_vector_index();
+    return ax && (k == *ax || pk == gl_.projected_dep_scaled(*ax));
   }
-  close_group();
 
-  out.stats.total_iterations = covered;
-  if (out.stats.group_count == 0) out.stats.min_block = 0;
-  out.partition.total_arcs = arc_total;
-  out.partition.interblock_arcs = arc_inter;
-  out.partition.intrablock_arcs = arc_total - arc_inter;
-  out.exact_cover = covered == space_->size();
-  if (validate) {
-    out.theorem2.m = nd;
-    out.theorem2.beta = beta();
-    out.theorem2.bound = 2 * nd - beta();
-    out.theorem2.holds = out.theorem2.max_out_degree <= out.theorem2.bound;
+  void close_group() {
+    if (!group_open_) return;
+    out_.stats.min_block = std::min(out_.stats.min_block, acc_);
+    out_.stats.max_block = std::max(out_.stats.max_block, acc_);
+    if (validate_) {
+      succ_.clear();
+      for (std::size_t k = 0; k < nd_; ++k) {
+        if (is_zero(gl_.projected_dep_scaled(k))) continue;
+        const std::size_t fan = dep_offs_[k].size();
+        if (is_special(k)) {
+          out_.lemmas.worst_lemma2_fanout = std::max(out_.lemmas.worst_lemma2_fanout, fan);
+          if (fan > 1) out_.lemmas.lemma2_holds = false;
+        } else {
+          out_.lemmas.worst_lemma3_fanout = std::max(out_.lemmas.worst_lemma3_fanout, fan);
+          if (fan > 2) out_.lemmas.lemma3_holds = false;
+        }
+        dep_offs_[k].merge_into(succ_);
+        dep_offs_[k].clear();
+      }
+      out_.theorem2.max_out_degree = std::max(out_.theorem2.max_out_degree, succ_.size());
+    }
+    window_.clear();
+    acc_ = 0;
+    group_open_ = false;
+  }
+
+  const GroupLattice& gl_;
+  bool validate_;
+  std::size_t nd_;
+  LatticeSweepResult out_;
+  std::vector<LineRec> window_;
+  std::vector<OffsetSet> dep_offs_;  ///< per-dep distinct group offsets
+  OffsetSet succ_;                   ///< union over deps (out-degree)
+  std::int64_t acc_ = 0;             ///< current group's iteration count
+  bool group_open_ = false;
+  GroupKey cur_{};
+};
+
+/// One line_range constraint of a chain line family as a function of the
+/// line index c.  A bound term (den > 0) is the real k-bound
+/// (alpha·c + beta)/den — k ≥ its ceiling for a lower bound, k ≤ its floor
+/// for an upper bound; a feasibility term (den == 0) is the condition
+/// alpha·c + beta ≥ 0 (a bound constant along the line direction).
+struct ChainTerm {
+  std::int64_t alpha = 0, beta = 0, den = 0;
+};
+
+/// The constraints of line_range(c·δ + d, u), term for term: at
+/// p = c·δ + d, a lower term e of dimension j gives
+/// C = p_j - e(p) = c·(δ_j - e·δ) + (d_j - e·d - e_0) and slope
+/// m = u_j - e·u; an upper term the negation.  m > 0 bounds k below by
+/// ceil(-C/m), m < 0 above by floor(C/-m), m == 0 asks C ≥ 0.
+std::vector<ChainTerm> chain_terms(const IterSpace& space, const IntVec& delta, const IntVec& u,
+                                   const IntVec& d) {
+  auto lin = [](const AffineExpr& e, const IntVec& x) {
+    std::int64_t v = 0;
+    for (std::size_t k = 0; k < e.coeffs.size() && k < x.size(); ++k) v += e.coeffs[k] * x[k];
+    return v;
+  };
+  std::vector<ChainTerm> out;
+  auto push = [&](std::int64_t a, std::int64_t b, std::int64_t m) {
+    if (m > 0) out.push_back({-a, -b, m});
+    else if (m < 0) out.push_back({a, b, -m});
+    else out.push_back({a, b, 0});
+  };
+  const std::vector<AffineDim>& dims = space.affine_dims();
+  for (std::size_t j = 0; j < dims.size(); ++j) {
+    for (const AffineExpr& e : dims[j].lower.terms)
+      push(delta[j] - lin(e, delta), d[j] - lin(e, d) - e.constant, u[j] - lin(e, u));
+    for (const AffineExpr& e : dims[j].upper.terms)
+      push(lin(e, delta) - delta[j], lin(e, d) + e.constant - d[j], lin(e, u) - u[j]);
   }
   return out;
+}
+
+int128 floor_div128(int128 a, int128 b) {
+  int128 q = a / b;
+  return (a % b != 0 && ((a < 0) != (b < 0))) ? q - 1 : q;
+}
+
+/// Record where X·t + Y ≥ 0 changes truth value, as the first slot of the
+/// new run, when it falls inside (lo, hi].
+void add_sign_break(int128 x, int128 y, std::int64_t lo, std::int64_t hi,
+                    std::vector<std::int64_t>& out) {
+  if (x == 0) return;
+  int128 b = 0;
+  constexpr int128 kLim = std::numeric_limits<std::int64_t>::max();
+  if (x <= kLim && x >= -kLim && y <= kLim && y >= -kLim) {
+    // int64 division: the common case, several times cheaper than int128.
+    const auto x64 = static_cast<std::int64_t>(x);
+    const auto y64 = static_cast<std::int64_t>(y);
+    b = x64 > 0 ? -static_cast<int128>(floor_div(y64, x64))
+                : static_cast<int128>(floor_div(-y64, x64)) + 1;
+  } else {
+    b = x > 0 ? -floor_div128(y, x) : floor_div128(-y, x) + 1;
+  }
+  if (b > lo && b <= hi) out.push_back(static_cast<std::int64_t>(b));
+}
+
+/// Runs of a sorted breakpoint list over [lo, hi]: calls run(s, e) for each
+/// maximal breakpoint-free slot interval.
+template <class Run>
+void for_each_break_run(std::int64_t lo, std::int64_t hi, const std::vector<std::int64_t>& breaks,
+                        Run&& run) {
+  std::int64_t s = lo;
+  for (std::int64_t b : breaks) {
+    run(s, b - 1);
+    s = b;
+  }
+  run(s, hi);
+}
+
+}  // namespace
+
+struct GroupLattice::ChainModel {
+  /// [0]: the lines themselves; [1 + k]: the lines shifted by d_k.
+  std::vector<std::vector<ChainTerm>> families;
+  /// Slot period of every bound term: lcm of den / gcd(alpha·γ_l, den),
+  /// or kNoPeriod when that is too long to use.
+  std::int64_t period = 1;
+};
+
+GroupLattice::ChainModel GroupLattice::chain_model() const {
+  ChainModel model;
+  const std::vector<IntVec>& deps = space_->dependences();
+  model.families.push_back(chain_terms(*space_, delta_, u_, IntVec(2, 0)));
+  for (const IntVec& d : deps) model.families.push_back(chain_terms(*space_, delta_, u_, d));
+  // Past this period the first/last-period evaluation is as costly as the
+  // lines themselves: kNoPeriod makes every run evaluate line by line
+  // (exact, and lcm cannot overflow).
+  constexpr std::int64_t kMaxPeriod = std::int64_t{1} << 40;
+  for (const auto& fam : model.families)
+    for (const ChainTerm& t : fam) {
+      if (t.den == 0 || model.period == kNoPeriod) continue;
+      const std::int64_t p = t.den / gcd64(t.alpha * gamma_l_, t.den);
+      model.period = p > kMaxPeriod ? kNoPeriod : lcm64(model.period, p);
+      if (model.period > kMaxPeriod) model.period = kNoPeriod;
+    }
+  return model;
+}
+
+std::vector<std::int64_t> GroupLattice::chain_breaks(
+    const ChainModel& model, std::size_t m, const std::vector<std::uint64_t>* sorted_cuts) const {
+  const auto [tmin, tmax] = comp_t_[m];
+  const std::int64_t cs = chain_line(m, 0);
+  const std::int64_t g = gamma_l_;
+  std::vector<std::int64_t> out;
+  // A term as a function of the slot: (alpha·γ·t + alpha·cs + beta)/den.
+  auto slope = [&](const ChainTerm& t) { return static_cast<int128>(t.alpha) * g; };
+  auto offset = [&](const ChainTerm& t) {
+    return static_cast<int128>(t.alpha) * cs + t.beta;
+  };
+  // Every pair of bound terms that can meet in one max/min — the line's own
+  // bounds with each dependence image's — crosses at most once; between
+  // crossings the active term of k_lo, k_hi and each arc overlap is fixed,
+  // and so is the sign of the overlap (an empty overlap's clamp).
+  auto pairs = [&](const std::vector<ChainTerm>& a, const std::vector<ChainTerm>& b) {
+    for (const ChainTerm& x : a) {
+      if (x.den == 0) continue;
+      for (const ChainTerm& y : b) {
+        if (y.den == 0) continue;
+        // Both orientations: x ≥ y and y ≥ x change at different slots when
+        // the crossing is an integer, which isolates the tie as its own run.
+        const int128 dx = slope(x) * y.den - slope(y) * x.den;
+        const int128 dy = offset(x) * y.den - offset(y) * x.den;
+        add_sign_break(dx, dy, tmin, tmax, out);
+        add_sign_break(-dx, -dy, tmin, tmax, out);
+      }
+    }
+  };
+  auto feasibility = [&](const std::vector<ChainTerm>& a) {
+    for (const ChainTerm& x : a)
+      if (x.den == 0) add_sign_break(slope(x), offset(x), tmin, tmax, out);
+  };
+  const std::vector<ChainTerm>& own = model.families[0];
+  pairs(own, own);
+  feasibility(own);
+  const std::size_t nd = gamma_.size();
+  for (std::size_t k = 0; k < nd; ++k) {
+    const std::vector<ChainTerm>& fam = model.families[1 + k];
+    pairs(own, fam);
+    pairs(fam, fam);
+    feasibility(fam);
+    // The target line c + γ_k enters and leaves [c_lo, c_hi].
+    add_sign_break(g, static_cast<int128>(cs) + gamma_[k] - c_lo_, tmin, tmax, out);
+    add_sign_break(-static_cast<int128>(g), static_cast<int128>(c_hi_) - cs - gamma_[k], tmin,
+                   tmax, out);
+  }
+  if (sorted_cuts != nullptr) {
+    // Ownership edges: the first group at or past each sorted-index cut, in
+    // this component and in each dependence's target component (shifted
+    // back to source slots).
+    std::vector<std::pair<std::size_t, std::int64_t>> targets{{m, 0}};
+    for (std::size_t k = 0; k < nd; ++k) {
+      if (gamma_[k] == 0) continue;
+      const std::int64_t ct = cs + gamma_[k];
+      targets.emplace_back(static_cast<std::size_t>(component_of_line(ct)), slot_of_line(ct));
+    }
+    for (std::uint64_t cut : *sorted_cuts) {
+      if (cut == 0 || cut >= group_count_) continue;
+      const GroupKey first = group_at_sorted_index(cut);
+      for (const auto& [mt, shift] : targets) {
+        const std::int64_t edge =
+            degenerate() ? first.a
+                         : (first.a + (static_cast<std::int64_t>(mt) < first.comp ? 1 : 0)) * r_;
+        add_sign_break(1, -(static_cast<int128>(edge) - shift), tmin, tmax, out);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+template <class Fn>
+void GroupLattice::with_chain_line(std::size_t m, std::int64_t t, LineBuffers& buf,
+                                   Fn&& fn) const {
+  const std::vector<IntVec>& deps = space_->dependences();
+  const std::int64_t c = chain_line(m, t);
+  buf.p.assign({c * delta_[0], c * delta_[1]});
+  auto range = space_->line_range(buf.p, u_);
+  if (!range) return;
+  fn(chain_group(m, t), range->first, range->second, c * dot(tf_.pi, delta_),
+     [&](std::size_t k) {
+       buf.q.assign({buf.p[0] + deps[k][0], buf.p[1] + deps[k][1]});
+       return space_->line_range(buf.q, u_);
+     },
+     [&](std::size_t k) -> std::optional<GroupKey> {
+       if (is_zero(pdeps_[k])) return std::nullopt;
+       const std::int64_t ct = c + gamma_[k];
+       if (ct < c_lo_ || ct > c_hi_) return std::nullopt;
+       return group_of_line(ct);
+     });
+}
+
+bool operator==(const LatticeSweepResult& a, const LatticeSweepResult& b) {
+  auto t2 = [](const Theorem2Report& r) {
+    return std::tie(r.m, r.beta, r.bound, r.max_out_degree, r.holds);
+  };
+  auto lem = [](const LemmaReport& r) {
+    return std::tie(r.lemma2_holds, r.lemma3_holds, r.worst_lemma2_fanout,
+                    r.worst_lemma3_fanout);
+  };
+  auto stats = [](const LatticeSweepResult& r) {
+    return std::tie(r.stats.group_count, r.stats.total_iterations, r.stats.min_block,
+                    r.stats.max_block, r.partition.total_arcs, r.partition.interblock_arcs,
+                    r.partition.intrablock_arcs, r.exact_cover, r.theorem1);
+  };
+  return stats(a) == stats(b) && a.offset_weights == b.offset_weights &&
+         t2(a.theorem2) == t2(b.theorem2) && lem(a.lemmas) == lem(b.lemmas);
+}
+
+LatticeSweepResult GroupLattice::sweep(bool validate) const {
+  return closed_form_pays() ? sweep_closed_form(validate) : sweep_per_line(validate);
+}
+
+LatticeSweepResult GroupLattice::sweep_closed_form(bool validate) const {
+  if (layout_ != LatticeLayout::Chain)
+    throw std::logic_error("GroupLattice::sweep_closed_form: chain layout only");
+  SweepState st(*this, validate);
+  auto visit = [&](const GroupKey& g, std::int64_t k_lo, std::int64_t k_hi, std::int64_t anchor,
+                   auto&& dep_range, auto&& dep_target) {
+    st.line(g, k_lo, k_hi, anchor, dep_range, dep_target);
+  };
+  const ChainModel model = chain_model();
+  // Runs are cut into whole groups: a group straddling a breakpoint (or
+  // clipped by the component's slot range) is evaluated line by line on its
+  // own; the groups between are linear-periodic with a period of
+  // lcm(P, r)/r groups.
+  const std::int64_t period =
+      model.period == kNoPeriod ? kNoPeriod : lcm64(model.period, r_) / r_;
+  PeriodTallies scratch;
+  LineBuffers buf;
+  for (std::size_t m = 0; m < comp_t_.size(); ++m) {
+    const auto [tmin, tmax] = comp_t_[m];
+    const std::int64_t a_first = floor_div(tmin, r_);
+    const std::int64_t a_last = floor_div(tmax, r_);
+    std::vector<std::int64_t> stops{a_first, a_last + 1};
+    auto isolate = [&](std::int64_t a) {
+      stops.push_back(a);
+      stops.push_back(a + 1);
+    };
+    if (pos_mod(tmin, r_) != 0) isolate(a_first);
+    if (pos_mod(tmax + 1, r_) != 0) isolate(a_last);
+    for (std::int64_t b : chain_breaks(model, m, nullptr)) {
+      if (pos_mod(b, r_) == 0) stops.push_back(b / r_);
+      else isolate(floor_div(b, r_));
+    }
+    std::sort(stops.begin(), stops.end());
+    stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
+    for (std::size_t i = 0; i + 1 < stops.size(); ++i) {
+      periodic_sum(stops[i], stops[i + 1] - 1, period, st.sums, scratch,
+                   [&](std::int64_t a, Tally& into) {
+                     st.rec = &into;
+                     const std::int64_t lo = std::max(a * r_, tmin);
+                     const std::int64_t hi = std::min(a * r_ + r_ - 1, tmax);
+                     for (std::int64_t t = lo; t <= hi; ++t) with_chain_line(m, t, buf, visit);
+                     st.rec = &st.sums;
+                   });
+    }
+  }
+  return st.finish();
+}
+
+void GroupLattice::for_each_chain_run(
+    const std::vector<std::uint64_t>& sorted_cuts,
+    const std::function<void(const ChainRunTotals&)>& visit) const {
+  if (layout_ != LatticeLayout::Chain)
+    throw std::logic_error("GroupLattice::for_each_chain_run: chain layout only");
+  const std::size_t nd = gamma_.size();
+  const ChainModel model = chain_model();
+  ChainRunTotals run;
+  run.dst.resize(nd);
+  run.arcs.resize(nd);
+  Tally sums;
+  PeriodTallies scratch;
+  LineBuffers buf;
+  auto line_sums = [&](std::size_t m, std::int64_t t, Tally& into) {
+    with_chain_line(m, t, buf,
+                    [&](const GroupKey&, std::int64_t k_lo, std::int64_t k_hi, std::int64_t,
+                        auto&& dep_range, auto&&) {
+                      into.add({kPop, {}}, k_hi - k_lo + 1);
+                      for (std::size_t k = 0; k < nd; ++k) {
+                        auto mrange = dep_range(k);
+                        if (!mrange) continue;
+                        const std::int64_t lo2 = std::max(k_lo, mrange->first);
+                        const std::int64_t hi2 = std::min(k_hi, mrange->second);
+                        if (lo2 <= hi2)
+                          into.add({static_cast<std::int64_t>(k), {}}, hi2 - lo2 + 1);
+                      }
+                    });
+  };
+  for (std::size_t m = 0; m < comp_t_.size(); ++m) {
+    const auto [tmin, tmax] = comp_t_[m];
+    for_each_break_run(tmin, tmax, chain_breaks(model, m, &sorted_cuts),
+                       [&](std::int64_t s, std::int64_t e) {
+                         sums.v.clear();
+                         periodic_sum(s, e, model.period, sums, scratch,
+                                      [&](std::int64_t t, Tally& into) { line_sums(m, t, into); });
+                         const std::int64_t c = chain_line(m, s);
+                         run.src = chain_group(m, s);
+                         run.population = sums.get({kPop, {}});
+                         for (std::size_t k = 0; k < nd; ++k) {
+                           run.arcs[k] = sums.get({static_cast<std::int64_t>(k), {}});
+                           const std::int64_t ct = c + gamma_[k];
+                           run.dst[k] = ct < c_lo_ || ct > c_hi_
+                                            ? std::nullopt
+                                            : std::optional<GroupKey>(group_of_line(ct));
+                         }
+                         visit(run);
+                       });
+  }
+}
+
+LatticeSweepResult GroupLattice::sweep_per_line(bool validate) const {
+  SweepState st(*this, validate);
+  if (layout_ == LatticeLayout::Chain) {
+    auto visit = [&](const GroupKey& g, std::int64_t k_lo, std::int64_t k_hi, std::int64_t anchor,
+                     auto&& dep_range, auto&& dep_target) {
+      st.line(g, k_lo, k_hi, anchor, dep_range, dep_target);
+    };
+    LineBuffers buf;
+    for (std::size_t m = 0; m < comp_t_.size(); ++m)
+      for (std::int64_t t = comp_t_[m].first; t <= comp_t_[m].second; ++t)
+        with_chain_line(m, t, buf, visit);
+    return st.finish();
+  }
+  const std::vector<IntVec>& deps = space_->dependences();
+  const std::size_t nd = deps.size();
+  const IntVec& pi = tf_.pi;
+  const std::int64_t pi_dl = dot(pi, dl_orig_);
+  const std::int64_t pi_da = dot(pi, da_orig_);
+  const std::int64_t base = dot(pi, seed_entry_);
+  for (const PlaneChainRec& ch : chains_) {
+    IntVec p = plane_anchor(ch.t_lo, ch.b);
+    std::vector<IntVec> pd(nd);
+    for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
+    std::int64_t step_anchor = base + ch.t_lo * pi_dl + ch.b * pi_da;
+    for (std::int64_t t = ch.t_lo; t <= ch.t_hi; ++t) {
+      auto range = space_->line_range(p, u_);
+      if (range) {
+        const GroupKey g{floor_div(t, r_), ch.b, 0};
+        st.line(
+            g, range->first, range->second, step_anchor,
+            [&](std::size_t k) { return space_->line_range(pd[k], u_); },
+            [&](std::size_t k) -> std::optional<GroupKey> {
+              if (is_zero(pdeps_[k])) return std::nullopt;
+              const PlaneChainRec* tc = plane_chain(ch.b + db_[k]);
+              const std::int64_t tt = t + dt_[k];
+              if (!tc || tt < tc->t_lo || tt > tc->t_hi) return std::nullopt;
+              return GroupKey{floor_div(tt, r_), tc->b, 0};
+            });
+      }
+      for (std::size_t i = 0; i < 3; ++i) {
+        p[i] += dl_orig_[i];
+        for (std::size_t k = 0; k < nd; ++k) pd[k][i] += dl_orig_[i];
+      }
+      step_anchor += pi_dl;
+    }
+  }
+  return st.finish();
 }
 
 }  // namespace hypart

@@ -31,10 +31,17 @@
 //    D | B(proj e_i)); multi-coset 3-D nests take the line-based fallback.
 //
 // Group populations, block statistics, TIG arc-class weights, and the
-// theorem/lemma checks all reduce to per-line IterSpace::line_range queries
-// (O(dimension) each), and Algorithm 2's bisection reduces to ceil-halving
-// of the sorted group order (chain) or an alternating-direction fragment
-// bisection (plane) — mapping/hypercube_map.hpp.
+// theorem/lemma checks reduce to IterSpace::line_range queries, and
+// Algorithm 2's bisection reduces to ceil-halving of the sorted group order
+// (chain) or an alternating-direction fragment bisection (plane) —
+// mapping/hypercube_map.hpp.  On the chain layout the sweep never visits
+// every line: each line-range bound is a quasi-affine function of the line
+// index, so the slot range of each component splits at O(terms² + deps)
+// breakpoints into runs where every per-line quantity is linear plus
+// periodic in the slot; each run is summed from its first and last period
+// (sweep_closed_form(), for_each_chain_run()).  The plane layout, chains
+// under kClosedFormMinLines lines and the per-line cross-check
+// (sweep_per_line()) still visit every line.
 //
 // When no layout applies, build() returns nullopt with a stable fallback
 // reason slug (surfaced as the pipeline.lattice_fallback.<reason> metric)
@@ -74,11 +81,11 @@ struct LatticeBlockStats {
   std::int64_t max_block = 0;        ///< largest block
 };
 
-/// Everything the O(lines·deps) line sweep derives in one pass: block
-/// statistics, partition stats (block_comm left empty — the per-pair graph
-/// is inherently O(groups); the per-offset aggregation below replaces it),
-/// per-(dependence, group-offset) arc weights, and the theorem/lemma
-/// verdicts.  Memory is O(deps + r + components), independent of N.
+/// Everything the lattice sweep derives: block statistics, partition stats
+/// (block_comm left empty — the per-pair graph is inherently O(groups); the
+/// per-offset aggregation below replaces it), per-(dependence, group-offset)
+/// arc weights, and the theorem/lemma verdicts.  Memory is
+/// O(deps + r + components + breakpoints), independent of N.
 struct LatticeSweepResult {
   LatticeBlockStats stats;
   PartitionStats partition;
@@ -101,6 +108,10 @@ struct LatticeSweepResult {
   bool theorem1 = false;
   Theorem2Report theorem2;
   LemmaReport lemmas;
+
+  /// Field-for-field equality (partition.block_comm is never built on the
+  /// lattice path and is not compared): the closed form vs per-line check.
+  friend bool operator==(const LatticeSweepResult& a, const LatticeSweepResult& b);
 };
 
 /// Symbolic grouping of an affine iteration space as a regular group
@@ -228,11 +239,52 @@ class GroupLattice {
   /// Scaled projected dependence s·d - (Π·d)·Π (dense pdep coordinates).
   [[nodiscard]] const IntVec& projected_dep_scaled(std::size_t k) const { return pdeps_[k]; }
 
-  /// The full O(lines·deps) pass: block stats, partition stats, per-offset
-  /// TIG weights, and (when `validate`) exact-cover/Theorem 1/Theorem 2/
-  /// lemma verdicts.  Time O(lines·(deps + r)·dim), memory
-  /// O(deps + r + components).
+  /// Block stats, partition stats, per-offset TIG weights, and (when
+  /// `validate`) exact-cover/Theorem 1/Theorem 2/lemma verdicts:
+  /// sweep_closed_form() when closed_form_pays(), else sweep_per_line().
   [[nodiscard]] LatticeSweepResult sweep(bool validate = true) const;
+  /// The chain layout's closed form over breakpoint runs,
+  /// O((terms² + deps)·P·deps) per component with P the run period in slots
+  /// (lcm of r and the bound terms' periods) — independent of the line
+  /// count.  Every group is still checked, explicitly or through a run's
+  /// first and last period.  Sums are exact or throw OverflowError; throws
+  /// std::logic_error on the plane layout.
+  [[nodiscard]] LatticeSweepResult sweep_closed_form(bool validate = true) const;
+  /// The per-line pass in either layout, O(lines·(deps + r)·dim): the
+  /// reference the chain closed form must equal field for field
+  /// (`--space verify` compares both with the dense path).
+  [[nodiscard]] LatticeSweepResult sweep_per_line(bool validate = true) const;
+  /// Below this many lines the closed form's runs hold a few lines each and
+  /// its set-up (terms, breakpoints, run bookkeeping) costs about what the
+  /// per-line pass saves: on small 2-D stencils sweep + simulation break
+  /// even between 130 and 260 lines and the closed form wins clearly from
+  /// ~400.
+  static constexpr std::uint64_t kClosedFormMinLines = 200;
+  /// True when sweep() and the default simulator take the closed form: a
+  /// chain layout with at least kClosedFormMinLines lines.
+  [[nodiscard]] bool closed_form_pays() const {
+    return layout_ == LatticeLayout::Chain && line_count_ >= kClosedFormMinLines;
+  }
+
+  /// Totals of one chain run: consecutive slots [t_first, t_last] of one
+  /// component over which the line's group and each dependence's target
+  /// group stay inside one interval of the caller's sorted-index cuts.
+  struct ChainRunTotals {
+    GroupKey src;  ///< group of the run's first line
+    std::int64_t population = 0;   ///< Σ line populations
+    /// Per dependence: target group of the run's first line (nullopt when
+    /// that target line is unpopulated) and Σ arc counts over the run.
+    std::vector<std::optional<GroupKey>> dst;
+    std::vector<std::int64_t> arcs;
+  };
+  /// Closed-form line and arc-bundle sums of the chain layout, cut so that
+  /// ownership by any sorted-index interval partition is constant per run.
+  /// `sorted_cuts` are ascending sorted group indices at which the caller's
+  /// per-group attribute may change (processor-run edges,
+  /// LatticeHypercubeMapping::boundaries).  Chain layout only; cost as
+  /// sweep_closed_form() plus O(cuts·deps) breakpoints per component.
+  void for_each_chain_run(const std::vector<std::uint64_t>& sorted_cuts,
+                          const std::function<void(const ChainRunTotals&)>& visit) const;
 
   /// Visit every populated line (group-contiguous order: component-major
   /// ascending slot for chains, aux-chain-major ascending slot for planes)
@@ -251,6 +303,9 @@ class GroupLattice {
 
  private:
   GroupLattice() = default;
+  /// Forces an illegal group size r for the Theorem 1 mutation check
+  /// (tests/test_group_lattice.cpp).
+  friend struct GroupLatticeTestPeer;
 
   /// One aux chain of the plane layout: the inclusive slot run at aux
   /// coordinate b.
@@ -267,6 +322,31 @@ class GroupLattice {
   [[nodiscard]] IntVec plane_anchor(std::int64_t t, std::int64_t b) const;
   /// Plane chain index holding aux coordinate b; nullptr when absent.
   [[nodiscard]] const PlaneChainRec* plane_chain(std::int64_t b) const;
+  /// Chain closed form (group_lattice.cpp): the line-range bound terms as
+  /// functions of the line index, and the slot breakpoints of component m
+  /// (plus, when `sorted_cuts` is given, its group and target-group edges).
+  struct ChainModel;
+  [[nodiscard]] ChainModel chain_model() const;
+  [[nodiscard]] std::vector<std::int64_t> chain_breaks(
+      const ChainModel& model, std::size_t m,
+      const std::vector<std::uint64_t>* sorted_cuts) const;
+  /// Hand chain line (m, t)'s k-range, anchor step and per-dependence range
+  /// and target queries to `fn`; unpopulated lines are skipped.  The line
+  /// anchors live in the caller's reusable buffers.
+  struct LineBuffers {
+    IntVec p, q;
+  };
+  template <class Fn>
+  void with_chain_line(std::size_t m, std::int64_t t, LineBuffers& buf, Fn&& fn) const;
+  /// Chain layout: line index of slot t in component m.
+  [[nodiscard]] std::int64_t chain_line(std::size_t m, std::int64_t t) const {
+    return c_seed_ + (degenerate() ? 0 : static_cast<std::int64_t>(m)) * lexdir_ + t * gamma_l_;
+  }
+  /// Chain layout: group of slot t in component m.
+  [[nodiscard]] GroupKey chain_group(std::size_t m, std::int64_t t) const {
+    return degenerate() ? GroupKey{t, 0, t}
+                        : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
+  }
 
   const IterSpace* space_ = nullptr;
   TimeFunction tf_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/error.hpp"
+
 namespace hypart {
 
 bool is_valid_time_function(const TimeFunction& tf, const std::vector<IntVec>& dependences) {
@@ -80,12 +82,22 @@ std::optional<TimeFunction> search_time_function(const IterSpace& space,
   std::optional<TimeFunction> best;
   std::int64_t best_span = 0;
   std::int64_t best_norm = 0;
+  // A candidate whose span leaves int64 is longer than any that fits, so it
+  // is skipped; only when every valid candidate overflows is there no answer.
+  bool overflowed = false;
 
   for_each_candidate(space.dimension(), opts.max_coefficient, opts.nonnegative_only,
                      [&](const IntVec& cand) {
     TimeFunction tf{cand};
     if (!is_valid_time_function(tf, space.dependences())) return;
-    std::int64_t span = space.max_step(cand) - space.min_step(cand) + 1;
+    std::int64_t span = 0;
+    try {
+      span = checked::add(checked::sub(space.max_step(cand), space.min_step(cand), "schedule span"),
+                          1, "schedule span");
+    } catch (const OverflowError&) {
+      overflowed = true;
+      return;
+    }
     std::int64_t norm = tf.norm2();
     if (!best || span < best_span || (span == best_span && norm < best_norm) ||
         (span == best_span && norm == best_norm && cand < best->pi)) {
@@ -94,6 +106,7 @@ std::optional<TimeFunction> search_time_function(const IterSpace& space,
       best_norm = norm;
     }
   });
+  if (!best && overflowed) throw OverflowError("schedule span of every candidate hyperplane");
   return best;
 }
 

@@ -22,6 +22,16 @@ double SimResult::speedup(const MachineParams& m, std::int64_t total_iterations,
   return time > 0 ? seq / time : 0.0;
 }
 
+bool same_outcome(const SimResult& a, const SimResult& b) {
+  return a.total == b.total && a.time == b.time && a.compute_bottleneck == b.compute_bottleneck &&
+         a.comm_bottleneck == b.comm_bottleneck && a.steps == b.steps &&
+         a.messages == b.messages && a.words == b.words &&
+         a.per_proc_iterations == b.per_proc_iterations &&
+         a.max_link_words == b.max_link_words && a.failed_nodes == b.failed_nodes &&
+         a.failed_links == b.failed_links && a.rerouted_messages == b.rerouted_messages &&
+         a.migrated_blocks == b.migrated_blocks && a.migration_cost == b.migration_cost;
+}
+
 namespace {
 
 /// Resolved fault state for one simulation: the concrete failure set plus
@@ -513,6 +523,58 @@ SymFaultState resolve_symbolic_faults(
   return fs;
 }
 
+/// Per-(src, dst) table over the accounting slots: flat nslots × nslots
+/// storage up to kFlatSlots slots (every machine the planner maps onto by
+/// default), a hash map past that so huge cubes do not allocate slots².
+template <class V>
+class PairTable {
+ public:
+  PairTable(std::size_t nslots, V init) : n_(nslots), init_(init) {
+    if (nslots <= kFlatSlots) flat_.assign(nslots * nslots, init);
+  }
+  V& at(ProcId a, ProcId b) {
+    if (n_ <= kFlatSlots) return flat_[a * n_ + b];
+    return sparse_.try_emplace(static_cast<std::uint64_t>(a) * n_ + b, init_).first->second;
+  }
+  template <class F>
+  void for_each(F&& f) const {
+    for (const V& v : flat_) f(v);
+    for (const auto& [key, v] : sparse_) f(v);
+  }
+
+ private:
+  static constexpr std::size_t kFlatSlots = 256;
+  std::size_t n_;
+  V init_;
+  std::vector<V> flat_;
+  std::unordered_map<std::uint64_t, V> sparse_;
+};
+
+/// Bottleneck compute of the most loaded slot, checked against int64.
+void set_compute_bottleneck(SimResult& res, const SimOptions& opts) {
+  std::int64_t max_iters = 0;
+  for (std::int64_t c : res.per_proc_iterations) max_iters = std::max(max_iters, c);
+  res.compute_bottleneck =
+      Cost{checked::mul(max_iters, opts.flops_per_iteration, "simulated compute cost"), 0, 0};
+}
+
+/// The paper's Table I total: bottleneck compute plus the busiest
+/// channel's volume (each unit one t_start + t_comm message).
+void finish_paper_max_channel(SimResult& res, const PairTable<std::int64_t>& channel,
+                              const MachineParams& machine) {
+  std::int64_t worst = 0;
+  channel.for_each([&](std::int64_t units) { worst = std::max(worst, units); });
+  res.comm_bottleneck = Cost{0, worst, worst};
+  res.total = res.compute_bottleneck + res.comm_bottleneck + res.migration_cost;
+  res.time = res.total.value(machine);
+}
+
+/// Schedule span max - min + 1 of the lattice's space under Π, checked.
+std::int64_t schedule_span(const IterSpace& space, const IntVec& pi, std::int64_t& lo) {
+  lo = space.min_step(pi);
+  return checked::add(checked::sub(space.max_step(pi), lo, "schedule span"), 1, "schedule span");
+}
+
 // Reduced observability for the symbolic path: aggregate counters only (the
 // per-message histograms and the trace timeline need the materialized
 // schedule, which is exactly what this path avoids building).
@@ -655,15 +717,13 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
                        res.per_proc_iterations[owner(ln.proc, ln.block, s)] += n;
                      });
   });
-  std::int64_t max_iters = 0;
-  for (std::int64_t c : res.per_proc_iterations) max_iters = std::max(max_iters, c);
-  res.compute_bottleneck = Cost{max_iters * opts.flops_per_iteration, 0, 0};
+  set_compute_bottleneck(res, opts);
 
   if (opts.accounting == CommAccounting::PaperMaxChannel) {
     // Channel volumes need no step resolution beyond the fault segments: one
     // bundle segment contributes its whole arc count to the unordered
     // processor pair, with the degraded route priced at its first step.
-    std::map<std::pair<ProcId, ProcId>, std::int64_t> channel;
+    PairTable<std::int64_t> channel(nslots, 0);
     auto charge = [&](ProcId ps, ProcId pd, std::int64_t count, std::int64_t step) {
       if (ps == pd) return;
       std::int64_t units = 1;
@@ -675,9 +735,10 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
         units = static_cast<std::int64_t>(topo.distance(ps, pd));
       }
       auto key = std::minmax(ps, pd);
-      channel[{key.first, key.second}] += units * count;
-      res.messages += count;
-      res.words += count;
+      std::int64_t& vol = channel.at(key.first, key.second);
+      vol = checked::add(vol, checked::mul(units, count, "channel volume"), "channel volume");
+      res.messages = checked::add(res.messages, count, "message count");
+      res.words = checked::add(res.words, count, "word count");
     };
     in.bundles([&](const SymBundle& b) {
       if (!fstate.active) {
@@ -690,11 +751,7 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
                                 owner(b.dst_proc, b.dst_block, s + b.step_shift), n, s);
                        });
     });
-    std::int64_t worst = 0;
-    for (const auto& [pair, units] : channel) worst = std::max(worst, units);
-    res.comm_bottleneck = Cost{0, worst, worst};
-    res.total = res.compute_bottleneck + res.comm_bottleneck + res.migration_cost;
-    res.time = res.total.value(machine);
+    finish_paper_max_channel(res, channel, machine);
     return res;
   }
 
@@ -733,14 +790,18 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
     std::vector<std::int64_t> words;
     std::int64_t total_words = 0;
   };
-  std::map<std::pair<ProcId, ProcId>, std::size_t> channel_index;
+  constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
+  PairTable<std::size_t> channel_index(nslots, kNoChannel);
   std::vector<Channel> channels;
   auto add_bundle_run = [&](ProcId src, ProcId dst, std::int64_t count, std::int64_t first) {
     if (src == dst) return;
     res.words += count;
-    auto [it, inserted] = channel_index.try_emplace({src, dst}, channels.size());
-    if (inserted) channels.push_back({src, dst, std::vector<std::int64_t>(nsteps, 0), 0});
-    Channel& ch = channels[it->second];
+    std::size_t& idx = channel_index.at(src, dst);
+    if (idx == kNoChannel) {
+      idx = channels.size();
+      channels.push_back({src, dst, std::vector<std::int64_t>(nsteps, 0), 0});
+    }
+    Channel& ch = channels[idx];
     std::int64_t t0 = first - lo;
     std::int64_t end = t0 + count * sigma;
     ch.words[t0] += 1;
@@ -916,8 +977,7 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
   feed.nprocs = mapping.processor_count;
   feed.nslots =
       fstate.active ? std::max(mapping.processor_count, topo.size()) : mapping.processor_count;
-  feed.lo = space.min_step(tf.pi);
-  feed.steps = space.max_step(tf.pi) - feed.lo + 1;
+  feed.steps = schedule_span(space, tf.pi, feed.lo);
   feed.sigma = ps.step_stride();
   feed.lines = [&](const std::function<void(const SymLine&)>& v) {
     for (std::size_t pid = 0; pid < ps.point_count(); ++pid)
@@ -935,9 +995,62 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
   return res;
 }
 
+SimResult simulate_execution_closed_form(const GroupLattice& lattice,
+                                         const LatticeHypercubeMapping& mapping,
+                                         const Topology& topo, const MachineParams& machine,
+                                         const SimOptions& opts) {
+  if (lattice.layout() != LatticeLayout::Chain ||
+      opts.accounting != CommAccounting::PaperMaxChannel || !opts.faults.machine_empty())
+    throw std::invalid_argument(
+        "simulate_execution_closed_form: fault-free PaperMaxChannel on a chain lattice only");
+  if (topo.size() < mapping.processor_count)
+    throw std::invalid_argument("simulate_execution: topology smaller than processor count");
+  obs::Span span(opts.obs.trace, "simulate_execution", "sim");
+  // Every run has one source and one target processor per dependence.
+  SimResult res;
+  std::int64_t lo = 0;
+  res.steps = schedule_span(lattice.space(), lattice.time_function().pi, lo);
+  res.per_proc_iterations.assign(mapping.processor_count, 0);
+  PairTable<std::int64_t> channel(mapping.processor_count, 0);
+  lattice.for_each_chain_run(mapping.boundaries, [&](const GroupLattice::ChainRunTotals& run) {
+    const ProcId ps = mapping.proc_of_group(lattice, run.src);
+    res.per_proc_iterations[ps] =
+        checked::add(res.per_proc_iterations[ps], run.population, "processor load");
+    for (std::size_t k = 0; k < run.arcs.size(); ++k) {
+      if (run.arcs[k] == 0) continue;
+      if (!run.dst[k])
+        throw Error(ErrorKind::Internal, "simulate_execution: arcs into an unpopulated line");
+      const ProcId pd = mapping.proc_of_group(lattice, *run.dst[k]);
+      if (ps == pd) continue;
+      const std::int64_t units =
+          opts.charge_hops ? static_cast<std::int64_t>(topo.distance(ps, pd)) : 1;
+      auto key = std::minmax(ps, pd);
+      std::int64_t& vol = channel.at(key.first, key.second);
+      vol = checked::add(vol, checked::mul(units, run.arcs[k], "channel volume"),
+                         "channel volume");
+      res.messages = checked::add(res.messages, run.arcs[k], "message count");
+      res.words = checked::add(res.words, run.arcs[k], "word count");
+    }
+  });
+  set_compute_bottleneck(res, opts);
+  finish_paper_max_channel(res, channel, machine);
+  emit_symbolic_metrics(opts, SymFaultState{}, res);
+  return res;
+}
+
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
                              const SimOptions& opts) {
+  if (lattice.closed_form_pays() && opts.accounting == CommAccounting::PaperMaxChannel &&
+      opts.faults.machine_empty())
+    return simulate_execution_closed_form(lattice, mapping, topo, machine, opts);
+  return simulate_execution_per_line(lattice, mapping, topo, machine, opts);
+}
+
+SimResult simulate_execution_per_line(const GroupLattice& lattice,
+                                      const LatticeHypercubeMapping& mapping,
+                                      const Topology& topo, const MachineParams& machine,
+                                      const SimOptions& opts) {
   obs::Span span(opts.obs.trace, "simulate_execution", "sim");
   const IterSpace& space = lattice.space();
   const TimeFunction& tf = lattice.time_function();
@@ -970,8 +1083,7 @@ SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercube
   feed.nprocs = mapping.processor_count;
   feed.nslots =
       fstate.active ? std::max(mapping.processor_count, topo.size()) : mapping.processor_count;
-  feed.lo = space.min_step(tf.pi);
-  feed.steps = space.max_step(tf.pi) - feed.lo + 1;
+  feed.steps = schedule_span(space, tf.pi, feed.lo);
   feed.sigma = lattice.step_stride();
   feed.lines = [&](const std::function<void(const SymLine&)>& v) {
     lattice.for_each_line(

@@ -87,14 +87,19 @@ struct SimResult {
   std::optional<obs::MetricsSnapshot> metrics;
 };
 
+/// Every field of two results equal, except the metrics snapshot — the
+/// cross-check between simulator variants.
+[[nodiscard]] bool same_outcome(const SimResult& a, const SimResult& b);
+
 SimResult simulate_execution(const ComputationStructure& q, const TimeFunction& tf,
                              const Partition& part, const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
 
 /// Symbolic variant: identical SimResult (totals, steps, messages, words,
 /// per-processor loads, bottlenecks) computed from line-bundle closed forms
-/// — O(lines·deps) plus, for the per-step accountings, O(steps·channels)
-/// strided difference arrays — without materializing any index point.
+/// — O(lines·deps) line and bundle visits plus, for the per-step
+/// accountings, O(steps·channels) strided difference arrays — without
+/// materializing any index point.
 /// Fault plans are supported: line and bundle runs split at the failure
 /// steps, degraded routes come from the same detour BFS as the dense path
 /// (cached per fault epoch), and node failures reuse the dense spare-node
@@ -105,17 +110,37 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
                              const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
 
-/// Lattice variant: same accounting core fed from GroupLattice line/bundle
-/// sweeps and the closed-form cluster boundaries — no per-line processor
-/// array, no Group objects.  With the default PaperMaxChannel accounting,
-/// memory is O(processors²), independent of the iteration count; the
-/// per-step accountings keep their O(steps·channels) difference arrays.
-/// Fault plans are supported as in the line-based variant; link-only plans
-/// stay independent of the group count, while node failures materialize one
-/// O(groups) block index (sizes + owners in lattice sorted order) to feed
-/// the spare-node remap.
+/// Lattice variant: no per-line processor array, no Group objects.
+/// Fault-free PaperMaxChannel (the pipeline and serve default) on a chain
+/// lattice where GroupLattice::closed_form_pays() runs
+/// simulate_execution_closed_form; every other case (small chains, plane
+/// layout, per-step accountings, fault plans) runs
+/// simulate_execution_per_line.
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
                              const SimOptions& opts = {});
+
+/// Closed-form fault-free PaperMaxChannel on a chain lattice: loads and
+/// channel volumes summed over GroupLattice::for_each_chain_run's runs, cut
+/// at the mapping's processor-run edges — time independent of the line
+/// count, memory O(processors² + breakpoints).  Throws
+/// std::invalid_argument for any other layout, accounting or a fault plan.
+SimResult simulate_execution_closed_form(const GroupLattice& lattice,
+                                         const LatticeHypercubeMapping& mapping,
+                                         const Topology& topo, const MachineParams& machine,
+                                         const SimOptions& opts = {});
+
+/// The lattice simulator fed line by line (GroupLattice line/bundle
+/// visitations, O(lines·deps)) into the shared symbolic accounting core;
+/// the per-step accountings keep their O(steps·channels) difference
+/// arrays.  Fault plans are supported as in the line-based variant;
+/// link-only plans stay independent of the group count, while node failures
+/// materialize one O(groups) block index (sizes + owners in lattice sorted
+/// order) to feed the spare-node remap.  Also the cross-check oracle of the
+/// closed form (`--space verify`).
+SimResult simulate_execution_per_line(const GroupLattice& lattice,
+                                      const LatticeHypercubeMapping& mapping,
+                                      const Topology& topo, const MachineParams& machine,
+                                      const SimOptions& opts = {});
 
 }  // namespace hypart

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <random>
@@ -24,9 +25,30 @@
 #include "partition/blocks.hpp"
 #include "partition/projection.hpp"
 #include "schedule/hyperplane.hpp"
+#include "sim/exec_sim.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
+
+/// Test seam: rebuild the group frame of a chain lattice with an illegal
+/// group size r, so groups hold lines that share steps.
+struct GroupLatticeTestPeer {
+  static GroupLattice with_group_size(GroupLattice gl, std::int64_t r) {
+    gl.r_ = r;
+    gl.group_count_ = 0;
+    gl.a_min_ = std::numeric_limits<std::int64_t>::max();
+    gl.a_max_ = std::numeric_limits<std::int64_t>::min();
+    for (const auto& [tmin, tmax] : gl.comp_t_) {
+      const std::int64_t a1 = floor_div(tmin, r);
+      const std::int64_t a2 = floor_div(tmax, r);
+      gl.a_min_ = std::min(gl.a_min_, a1);
+      gl.a_max_ = std::max(gl.a_max_, a2);
+      gl.group_count_ += static_cast<std::uint64_t>(a2 - a1 + 1);
+    }
+    return gl;
+  }
+};
+
 namespace {
 
 using GroupKey = GroupLattice::GroupKey;
@@ -68,8 +90,9 @@ void expect_lattice_matches_dense(const LoopNest& nest, const IntVec& pi_or_empt
   EXPECT_EQ(gl->group_count(), grouping.group_count());
   EXPECT_EQ(gl->group_size_r(), grouping.group_size_r());
   EXPECT_EQ(gl->beta(), grouping.beta());
-  if (gl->layout() == LatticeLayout::Chain)
+  if (gl->layout() == LatticeLayout::Chain) {
     EXPECT_EQ(gl->sum_line_populations(gl->c_min(), gl->c_max()), space.size());
+  }
 
   // Dense group id of each lattice key.  Non-degenerate groups carry their
   // lattice coordinates plus (chain layout) the region-growing component;
@@ -155,8 +178,9 @@ void expect_lattice_matches_dense(const LoopNest& nest, const IntVec& pi_or_empt
       EXPECT_EQ(lm.proc_of_group(*gl, gl->group_at_sorted_index(k)),
                 dense_map.mapping.block_to_proc[gid[k]])
           << "sorted index " << k;
-      if (gl->layout() == LatticeLayout::Chain)
+      if (gl->layout() == LatticeLayout::Chain) {
         EXPECT_EQ(lm.proc_of_sorted_index(k), dense_map.mapping.block_to_proc[gid[k]]);
+      }
     }
   }
 
@@ -358,6 +382,27 @@ TEST(GroupLattice, SymbolicPipelineUsesLatticeAndVerifyAgrees) {
   EXPECT_EQ(ver.stats.interblock_arcs, sym.stats.interblock_arcs);
 }
 
+TEST(GroupLattice, LargeCubesUseSparseChannelTables) {
+  // 2^9 = 512 processors is past the flat channel table's 256 slots: the
+  // simulators switch to the hash-map table, and verify mode (dense vs
+  // line-based vs lattice closed form vs lattice per-line) must still agree
+  // under every accounting.
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    SCOPED_TRACE(static_cast<int>(acc));
+    PipelineConfig cfg;
+    cfg.time_function = IntVec{1, 1};
+    cfg.cube_dim = 9;
+    cfg.sim.accounting = acc;
+    cfg.space_mode = SpaceMode::Dense;
+    PipelineResult dense = run_pipeline(workloads::sor2d(40, 40), cfg);
+    cfg.space_mode = SpaceMode::Verify;
+    PipelineResult ver = run_pipeline(workloads::sor2d(40, 40), cfg);  // throws on divergence
+    EXPECT_EQ(ver.sim.total, dense.sim.total);
+    EXPECT_EQ(ver.sim.messages, dense.sim.messages);
+  }
+}
+
 TEST(GroupLattice, Fig6MatmulVerifyRun) {
   // Paper Fig. 6: matrix multiplication under Pi = (1,1,1).  A 3-D nest —
   // now inside the plane-layout lattice class, so the symbolic path must be
@@ -475,6 +520,227 @@ TEST(GroupLattice, SymbolicFaultInjectionMatchesDense) {
       }
     }
   }
+}
+
+/// The chain closed form (sweep_closed_form, simulate_execution_closed_form)
+/// against the per-line pass on one lattice: every LatticeSweepResult
+/// field, with and without validation, and every PaperMaxChannel SimResult
+/// field on cubes of dimension 0..3, with and without hop charging.
+void expect_closed_form_matches_per_line(const GroupLattice& gl) {
+  ASSERT_EQ(gl.layout(), LatticeLayout::Chain);
+  for (bool validate : {true, false}) {
+    const LatticeSweepResult closed = gl.sweep_closed_form(validate);
+    const LatticeSweepResult lines = gl.sweep_per_line(validate);
+    EXPECT_EQ(closed.stats.group_count, lines.stats.group_count);
+    EXPECT_EQ(closed.stats.total_iterations, lines.stats.total_iterations);
+    EXPECT_EQ(closed.stats.min_block, lines.stats.min_block);
+    EXPECT_EQ(closed.stats.max_block, lines.stats.max_block);
+    EXPECT_EQ(closed.partition.total_arcs, lines.partition.total_arcs);
+    EXPECT_EQ(closed.partition.interblock_arcs, lines.partition.interblock_arcs);
+    EXPECT_EQ(closed.offset_weights, lines.offset_weights);
+    EXPECT_EQ(closed.exact_cover, lines.exact_cover);
+    EXPECT_EQ(closed.theorem1, lines.theorem1);
+    EXPECT_EQ(closed.theorem2.max_out_degree, lines.theorem2.max_out_degree);
+    EXPECT_EQ(closed.theorem2.holds, lines.theorem2.holds);
+    EXPECT_EQ(closed.lemmas.lemma2_holds, lines.lemmas.lemma2_holds);
+    EXPECT_EQ(closed.lemmas.lemma3_holds, lines.lemmas.lemma3_holds);
+    EXPECT_EQ(closed.lemmas.worst_lemma2_fanout, lines.lemmas.worst_lemma2_fanout);
+    EXPECT_EQ(closed.lemmas.worst_lemma3_fanout, lines.lemmas.worst_lemma3_fanout);
+    EXPECT_TRUE(closed == lines) << "validate=" << validate;
+    EXPECT_EQ(closed.stats.total_iterations, gl.space().size());
+  }
+  MachineParams machine;
+  for (unsigned dim = 0; dim <= 3; ++dim) {
+    LatticeHypercubeMapping lm = map_to_hypercube(gl, dim);
+    Hypercube cube(dim);
+    for (bool hops : {false, true}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + (hops ? " hops" : ""));
+      SimOptions opts;
+      opts.charge_hops = hops;
+      opts.flops_per_iteration = 3;
+      const SimResult closed = simulate_execution_closed_form(gl, lm, cube, machine, opts);
+      const SimResult lines = simulate_execution_per_line(gl, lm, cube, machine, opts);
+      EXPECT_EQ(closed.total, lines.total);
+      EXPECT_EQ(closed.steps, lines.steps);
+      EXPECT_EQ(closed.messages, lines.messages);
+      EXPECT_EQ(closed.words, lines.words);
+      EXPECT_EQ(closed.per_proc_iterations, lines.per_proc_iterations);
+      EXPECT_EQ(closed.comm_bottleneck, lines.comm_bottleneck);
+      EXPECT_TRUE(same_outcome(closed, lines));
+    }
+  }
+}
+
+TEST(GroupLattice, ClosedFormMatchesPerLineOnRandomChains) {
+  // Random 2-D chain nests: rectangular, triangular and disjunctive
+  // min/max bounds; strided dependences (|γ| = 2..4 residue components);
+  // dependences parallel to Π (β = 0); negative ranges, bounds near 2^31,
+  // one-line spaces and empty slabs.
+  std::mt19937 rng(20261017);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const std::vector<IntVec> pis = {{1, 1}, {1, 2}, {2, 1}, {1, 0}, {0, 1},
+                                   {1, -1}, {2, 3}, {3, 1}, {-1, 2}};
+  int admitted = 0, strided = 0, degenerate = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int shape = trial % 6;
+    std::int64_t base = 0;
+    if (shape == 4) base = (std::int64_t{1} << 31) - pick(0, 40);  // near 2^31
+    else if (shape == 5) base = -pick(10, 60);                      // negative range
+    // Every other trial is long enough for runs of many periods.
+    const std::int64_t span = trial % 2 == 0 ? 24 : 160;
+    const std::int64_t n0 = shape == 3 ? 0 : pick(0, span);  // 3: one-line spaces
+    AffineDim di{AffineExpr(base), AffineExpr(base + n0)};
+    AffineDim dj{AffineExpr(base - pick(0, 6)), AffineExpr(base + pick(0, span))};
+    if (shape == 1 || shape == 2) {
+      // j in [a·i + b, c·i + e] (triangular / trapezoid; empty slabs where
+      // the bounds cross), with a second max/min term for shape 2.
+      auto term = [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t a = pick(-2, 2);
+        return AffineExpr(base - a * base + pick(lo, hi), IntVec{a, 0});
+      };
+      dj.lower = BoundExpr(term(-6, 2));
+      dj.upper = BoundExpr(term(0, span / 2));
+      if (shape == 2) {
+        dj.lower = bmax(dj.lower.term(), term(-4, 4));
+        dj.upper = bmin(dj.upper.term(), term(2, 16));
+      }
+    }
+    std::vector<IntVec> deps;
+    const std::int64_t nd = pick(1, 3);
+    const std::int64_t stride = pick(0, 2) == 0 ? pick(2, 4) : 1;
+    for (std::int64_t k = 0; k < nd; ++k) {
+      IntVec d{pick(-2, 3), pick(-2, 3)};
+      if (is_zero(d)) d = {1, 0};
+      deps.push_back(scale(d, stride));
+    }
+    const IntVec& pi =
+        pis[static_cast<std::size_t>(pick(0, static_cast<std::int64_t>(pis.size()) - 1))];
+    if (pick(0, 5) == 0) deps = {scale(pi, pick(1, 2))};  // every d ∥ Π: degenerate
+    bool legal = true;
+    for (const IntVec& d : deps) legal = legal && dot(pi, d) > 0;
+    if (!legal) continue;
+    IterSpace space = IterSpace::from_affine({di, dj}, deps);
+    if (space.empty()) continue;
+    std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{pi});
+    if (!gl) continue;
+    ++admitted;
+    if (gl->component_count() > 1) ++strided;
+    if (gl->degenerate()) ++degenerate;
+    try {
+      expect_closed_form_matches_per_line(*gl);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what() << " pi=" << pi[0] << "," << pi[1] << " i=[" << base << ","
+                    << base + n0 << "] j=[" << dj.lower.to_string({"i", "j"}, true) << ", "
+                    << dj.upper.to_string({"i", "j"}, false) << "] deps="
+                    << [&] {
+                         std::string t;
+                         for (const IntVec& d : deps)
+                           t += "(" + std::to_string(d[0]) + "," + std::to_string(d[1]) + ")";
+                         return t;
+                       }();
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(admitted, 150);
+  EXPECT_GT(strided, 10);
+  EXPECT_GT(degenerate, 5);
+}
+
+TEST(GroupLattice, ClosedFormMatchesPerLineOnWorkloads) {
+  // Sizes large enough that runs span many periods (the arithmetic-series
+  // middle is exercised), still small enough for the per-line pass.
+  struct Case {
+    LoopNest nest;
+    IntVec pi;
+  };
+  const std::vector<Case> cases = {
+      {workloads::sor2d(300, 217), {1, 1}},
+      {workloads::strided_recurrence(257, 3), {1, 1}},
+      {workloads::strided_recurrence(200, 4), {1, 1}},
+      {workloads::triangular_matvec(301), {1, 1}},
+      {workloads::pyramid_stencil(333), {1, 1}},
+      {workloads::floyd_warshall_band(120, 5), {1, 1}},
+      {workloads::sor2d(97, 131), {1, 2}},
+      {workloads::sor2d(64, 64), {3, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.nest.name());
+    DependenceInfo dep = analyze_dependences(c.nest);
+    IterSpace space(c.nest, dep.distance_vectors());
+    std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{c.pi});
+    ASSERT_TRUE(gl.has_value());
+    expect_closed_form_matches_per_line(*gl);
+  }
+}
+
+TEST(GroupLattice, ClosedFormStillDetectsTheorem1Collisions) {
+  // Mutation check: with an illegal group size, groups hold lines whose
+  // step sequences meet.  The closed form must report the collision like
+  // the per-line pass — Theorem 1 is checked, never assumed.
+  for (std::int64_t n : {12, 500, 4096}) {
+    for (std::int64_t r : {3, 4, 7}) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " r=" + std::to_string(r));
+      LoopNest nest = workloads::sor2d(n, n);
+      DependenceInfo dep = analyze_dependences(nest);
+      IterSpace space(nest, dep.distance_vectors());
+      std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{IntVec{1, 1}});
+      ASSERT_TRUE(gl.has_value());
+      ASSERT_TRUE(gl->sweep_closed_form().theorem1);
+      GroupLattice bad = GroupLatticeTestPeer::with_group_size(*gl, r);
+      EXPECT_FALSE(bad.sweep_closed_form().theorem1);
+      if (n <= 500) {
+        EXPECT_FALSE(bad.sweep_per_line().theorem1);
+        EXPECT_TRUE(bad.sweep_closed_form() == bad.sweep_per_line());
+      }
+    }
+  }
+  // Triangular domain: line lengths grow along the chain, so short groups
+  // at one end do not collide and long ones do — the verdict must come
+  // from the run's far period, and agree with the per-line pass.
+  for (std::int64_t n : {9, 40, 301}) {
+    SCOPED_TRACE("triangular N=" + std::to_string(n));
+    LoopNest nest = workloads::triangular_matvec(n);
+    DependenceInfo dep = analyze_dependences(nest);
+    IterSpace space(nest, dep.distance_vectors());
+    std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{IntVec{1, 1}});
+    ASSERT_TRUE(gl.has_value());
+    for (std::int64_t r : {3, 5}) {
+      GroupLattice bad = GroupLatticeTestPeer::with_group_size(*gl, r);
+      const LatticeSweepResult lines = bad.sweep_per_line();
+      EXPECT_TRUE(bad.sweep_closed_form() == lines) << "r=" << r;
+      if (n >= 40) {
+        EXPECT_FALSE(lines.theorem1) << "r=" << r;
+      }
+    }
+  }
+}
+
+TEST(GroupLattice, ClosedFormHandlesHugeChains) {
+  // sor2d at N = 2^30: ~2^31 lines, 2^60 iterations — only the closed form
+  // finishes, and the counts are exact.
+  const std::int64_t n = std::int64_t{1} << 30;
+  LoopNest nest = workloads::sor2d(n, n);
+  DependenceInfo dep = analyze_dependences(nest);
+  IterSpace space(nest, dep.distance_vectors());
+  std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{IntVec{1, 1}});
+  ASSERT_TRUE(gl.has_value());
+  const LatticeSweepResult sw = gl->sweep();
+  const auto un = static_cast<std::uint64_t>(n);
+  EXPECT_EQ(sw.stats.total_iterations, un * un);
+  EXPECT_EQ(sw.stats.group_count, gl->group_count());
+  EXPECT_EQ(sw.partition.total_arcs, 2 * un * (un - 1));
+  EXPECT_TRUE(sw.exact_cover);
+  EXPECT_TRUE(sw.theorem1);
+  EXPECT_TRUE(sw.theorem2.holds);
+  LatticeHypercubeMapping lm = map_to_hypercube(*gl, 3);
+  SimResult sim = simulate_execution(*gl, lm, Hypercube(3), MachineParams{});
+  EXPECT_EQ(sim.steps, 2 * n - 1);
+  std::int64_t load = 0;
+  for (std::int64_t c : sim.per_proc_iterations) load += c;
+  EXPECT_EQ(load, n * n);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <random>
 #include <tuple>
 
+#include "core/error.hpp"
 #include "graph/comp_structure.hpp"
 #include "loop/iter_space.hpp"
 #include "mapping/tig.hpp"
@@ -74,7 +75,18 @@ TEST(IterSpace, MinMaxStepAtCorners) {
   EXPECT_EQ(s.min_step({1, -2}), 1 - 8);
   EXPECT_EQ(s.max_step({1, -2}), 4 - 2);
   IterSpace empty({{1, 0}}, {{1}});
-  EXPECT_THROW(empty.min_step({1}), std::logic_error);
+  EXPECT_THROW((void)empty.min_step({1}), std::logic_error);
+}
+
+TEST(IterSpace, StepExtremesAreChecked) {
+  // Π·x at a corner past int64 is an OverflowError, never a wrapped step.
+  IterSpace s({{1, 9'000'000'000'000'000'000}}, {{1}});
+  EXPECT_EQ(s.max_step({1}), 9'000'000'000'000'000'000);
+  EXPECT_THROW((void)s.max_step({2}), OverflowError);
+  EXPECT_THROW((void)s.min_step({-2}), OverflowError);
+  // An iteration count past int64 is refused at construction.
+  EXPECT_THROW(IterSpace({{0, std::int64_t{1} << 32}, {0, std::int64_t{1} << 32}}, {{1, 0}}),
+               OverflowError);
 }
 
 TEST(IterSpace, LineRange) {
@@ -130,8 +142,8 @@ TEST(IterSpace, TriangularMatvecDomain) {
   EXPECT_TRUE(s.contains({2, 1}));
   EXPECT_FALSE(s.contains({3, 3}));   // on the diagonal, outside
   EXPECT_FALSE(s.contains({1, 1}));   // row with an empty j-range
-  EXPECT_THROW(s.bounds(), std::logic_error);
-  EXPECT_THROW(s.extent(0), std::logic_error);
+  EXPECT_THROW((void)s.bounds(), std::logic_error);
+  EXPECT_THROW((void)s.extent(0), std::logic_error);
   // Hand counts: (0,1) arcs need j+1 <= i-1 (rows 3..5: 1+2+3); (1,0) arcs
   // need i+1 <= 5 and carry j <= i-1 into a longer row (rows 2..4: 1+2+3).
   EXPECT_EQ(s.arc_count({0, 1}), 6u);

@@ -29,6 +29,34 @@ TEST(Pipeline, L1EndToEnd) {
   EXPECT_GT(r.sim.time, 0.0);
 }
 
+TEST(Pipeline, Int64OverflowIsATypedError) {
+  // 9e18 iterations × 2 flops wraps int64; the symbolic plan must refuse
+  // with ErrorKind::Overflow (exit 80) instead of a negative cost or span.
+  LoopNest big = parse_loop_nest(
+      "loop big { for i = 1 to 9000000000000000000 A[i] = A[i-1] * 2.0 + 1.0; }");
+  PipelineConfig cfg;
+  cfg.space_mode = SpaceMode::Symbolic;
+  cfg.cube_dim = 0;
+  try {
+    (void)run_pipeline(big, cfg);
+    FAIL() << "expected OverflowError";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Overflow);
+    EXPECT_EQ(e.exit_code(), 80);
+  }
+  // Π = (2) would wrap the span; it is skipped, not chosen.
+  cfg.time_function = IntVec{2};
+  EXPECT_THROW((void)run_pipeline(big, cfg), OverflowError);
+  // At 4e18 every quantity fits and is exact.
+  LoopNest fits = parse_loop_nest(
+      "loop big { for i = 1 to 4000000000000000000 A[i] = A[i-1] * 2.0 + 1.0; }");
+  cfg.time_function.reset();
+  PipelineResult r = run_pipeline(fits, cfg);
+  EXPECT_EQ(r.time_function.pi, IntVec{1});
+  EXPECT_EQ(r.sim.steps, 4'000'000'000'000'000'000);
+  EXPECT_EQ(r.sim.total.calc, 8'000'000'000'000'000'000);
+}
+
 TEST(Pipeline, ExplicitTimeFunction) {
   PipelineConfig cfg;
   cfg.time_function = IntVec{2, 1};

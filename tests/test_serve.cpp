@@ -368,6 +368,26 @@ TEST(PlanService, ErrorMappingMatchesTypedHierarchy) {
   EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 6);
 }
 
+TEST(PlanService, OverflowRepliesTypedAndIsNeverCached) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions opts;
+  opts.obs.metrics = &metrics;
+  PlanService service(opts);
+  const std::string big =
+      "loop big { for i = 1 to 9000000000000000000 A[i] = A[i-1] * 2.0 + 1.0; }";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    JsonValue r = parse_json(service.handle_line(plan_request("predict", big)));
+    EXPECT_FALSE(r.get("ok").as_bool());
+    EXPECT_EQ(r.get("error").get("kind").as_string(), "overflow");
+    EXPECT_EQ(r.get("error").get("code").as_int64(), 80);
+  }
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.at("serve.errors"), 2);
+  EXPECT_EQ(snap.counters.count("serve.cache.hit"), 0u);
+  JsonValue stats = parse_json(service.handle_line("{\"op\":\"stats\"}"));
+  EXPECT_EQ(stats.get("cache").get("documents").as_int64(), 0);
+}
+
 TEST(PlanService, PingStatsShutdown) {
   PlanService service;
   JsonValue ping = parse_json(service.handle_line("{\"id\":\"p\",\"op\":\"ping\"}"));
