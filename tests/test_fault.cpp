@@ -337,6 +337,48 @@ TEST(DegradedSim, FaultFreePlanMatchesBaseline) {
   EXPECT_EQ(b.rerouted_messages, 0);
 }
 
+TEST(DegradedSim, PinnedDegradedTotalsOnSor2d) {
+  // Exact degraded numbers for one mixed plan (a link that fails mid-run
+  // and a node whose blocks migrate at step 5) under every accounting, so
+  // any change to how faults are priced shows up as a changed number rather
+  // than only as a broken inequality.
+  SimFixture f(workloads::sor2d(10, 10));
+  Hypercube cube(3);
+  Mapping map = map_to_hypercube(f.tig, 3).mapping;
+  MachineParams machine;
+  struct Expected {
+    CommAccounting acc;
+    Cost total;
+    double time;
+    std::int64_t messages, words, max_link_words, rerouted, migrated;
+    Cost migration_cost;
+  };
+  const Expected table[] = {
+      {CommAccounting::PaperMaxChannel, {30, 34, 34}, 1900, 73, 73, 0, 29, 1, {0, 19, 19}},
+      {CommAccounting::PerStepBarrier, {34, 42, 42}, 2344, 73, 73, 0, 29, 1, {0, 19, 19}},
+      {CommAccounting::LinkContention, {35, 46, 46}, 2565, 73, 73, 19, 29, 1, {0, 19, 19}},
+  };
+  for (const Expected& e : table) {
+    SimOptions opts;
+    opts.accounting = e.acc;
+    opts.faults = FaultPlan::parse("link:0-1@3,node:2@5");
+    SimResult r = simulate_execution(*f.q, f.tf, f.partition, map, cube, machine, opts);
+    SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(e.acc)));
+    EXPECT_EQ(r.total.calc, e.total.calc);
+    EXPECT_EQ(r.total.start, e.total.start);
+    EXPECT_EQ(r.total.comm, e.total.comm);
+    EXPECT_EQ(r.time, e.time);
+    EXPECT_EQ(r.messages, e.messages);
+    EXPECT_EQ(r.words, e.words);
+    EXPECT_EQ(r.max_link_words, e.max_link_words);
+    EXPECT_EQ(r.rerouted_messages, e.rerouted);
+    EXPECT_EQ(r.migrated_blocks, e.migrated);
+    EXPECT_EQ(r.migration_cost.calc, e.migration_cost.calc);
+    EXPECT_EQ(r.migration_cost.start, e.migration_cost.start);
+    EXPECT_EQ(r.migration_cost.comm, e.migration_cost.comm);
+  }
+}
+
 // ------------------------------------------------------------- properties --
 
 class FaultPlanProperty : public ::testing::TestWithParam<int> {};
