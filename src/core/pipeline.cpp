@@ -338,9 +338,10 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
     if (sym_tig.coordinates(v) != r.tig.coordinates(v)) fail("TIG coordinates");
   }
 
-  // The line-based symbolic simulator models fault plans with the dense
-  // block ids and the same remap/detour machinery, so the cross-check holds
-  // under any plan — including the degraded fields.
+  // The dense points and the projection lines feed the same accounting
+  // core, and the line feed uses the dense block ids for the spare-node
+  // remap, so every SimResult field — the degraded ones included — must
+  // agree under any fault plan.
   {
     Hypercube cube(config.cube_dim);
     SimOptions sim_opts = config.sim;
@@ -348,18 +349,7 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
     sim_opts.obs = {};  // the dense run already recorded this pipeline's telemetry
     SimResult sym = simulate_execution(*r.space, r.grouping, r.mapping.mapping, cube,
                                        config.machine, sim_opts);
-    if (!(sym.total == r.sim.total) || sym.steps != r.sim.steps ||
-        sym.messages != r.sim.messages || sym.words != r.sim.words ||
-        !(sym.compute_bottleneck == r.sim.compute_bottleneck) ||
-        !(sym.comm_bottleneck == r.sim.comm_bottleneck) ||
-        sym.max_link_words != r.sim.max_link_words ||
-        sym.per_proc_iterations != r.sim.per_proc_iterations)
-      fail("simulation results");
-    if (sym.failed_nodes != r.sim.failed_nodes || sym.failed_links != r.sim.failed_links ||
-        sym.rerouted_messages != r.sim.rerouted_messages ||
-        sym.migrated_blocks != r.sim.migrated_blocks ||
-        !(sym.migration_cost == r.sim.migration_cost))
-      fail("degraded simulation results");
+    if (!same_outcome(sym, r.sim)) fail("simulation results");
   }
 
   if (config.validate) {
@@ -452,15 +442,7 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
                 simulate_execution_closed_form(*lat, lmap, cube, config.machine, sim_opts),
                 simulate_execution_per_line(*lat, lmap, cube, config.machine, sim_opts)))
           fail("lattice simulation closed form vs per-line");
-        if (!(ls.total == r.sim.total) || ls.steps != r.sim.steps ||
-            ls.messages != r.sim.messages || ls.words != r.sim.words ||
-            !(ls.compute_bottleneck == r.sim.compute_bottleneck) ||
-            !(ls.comm_bottleneck == r.sim.comm_bottleneck) ||
-            ls.max_link_words != r.sim.max_link_words ||
-            ls.per_proc_iterations != r.sim.per_proc_iterations ||
-            ls.failed_links != r.sim.failed_links ||
-            ls.rerouted_messages != r.sim.rerouted_messages)
-          fail("lattice simulation results");
+        if (!same_outcome(ls, r.sim)) fail("lattice simulation results");
       }
     }
 

@@ -4,17 +4,24 @@
 // iterations execute step-synchronously by hyperplane (all points with
 // Π·x = t run at step t on their assigned processors); every dependence arc
 // crossing processors becomes a one-word message charged t_start + t_comm
-// (optionally scaled by hop count).  Two accounting conventions are
-// provided:
+// (optionally scaled by hop count).
 //
-//  * PaperMaxChannel — the paper's Table I convention:
-//        T = max_p compute_p + max_{p!=q} channel_volume(p,q)*(t_start+t_comm)
-//    ("the communication time is determined by the largest amount of
-//     interblock communication that occurred between two processors").
-//  * PerStepBarrier — a step-synchronous model with per-(step, src, dst)
-//    message aggregation:
-//        T = sum_t max_p [ compute_p(t) + sum_{msgs sent by p at t}
-//                                          (t_start + words*t_comm) ]
+// One engine prices every partition representation.  Its input is a feed:
+// runs of iterations (owner, block, population, first step) and runs of
+// arcs (source and target owner, count, first step, Π·d), both stepping by
+// the schedule's stride.  Fault plans, the three accountings and the
+// metrics are implemented once, in the engine, so every feed prices the
+// same machine the same way.  There are four ways in:
+//
+//  * dense points (ComputationStructure + Partition): one run per vertex,
+//    one per arc, stride 1;
+//  * projection lines (IterSpace + Grouping): one run per line and per
+//    (line, dependence) bundle, no index point materialized;
+//  * lattice lines (GroupLattice + LatticeHypercubeMapping): the same runs
+//    visited from the lattice, without Group objects;
+//  * the closed form (chain lattices, fault-free PaperMaxChannel only):
+//    loads and channel volumes summed over breakpoint runs instead of
+//    lines, finished by the engine's PaperMaxChannel total and metrics.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +39,21 @@
 
 namespace hypart {
 
-//  * LinkContention — messages are routed over the hypercube's physical
-//    links with deterministic e-cube routing; each link serializes its
-//    traffic, so the communication time of a step is the busiest link's
-//    total (msgs*t_start + words*t_comm).  Models the congestion that the
-//    first two conventions ignore.
+/// How communication is charged:
+///
+///  * PaperMaxChannel — the paper's Table I convention:
+///        T = max_p compute_p + max_{p!=q} channel_volume(p,q)*(t_start+t_comm)
+///    ("the communication time is determined by the largest amount of
+///     interblock communication that occurred between two processors").
+///  * PerStepBarrier — a step-synchronous model with per-(step, src, dst)
+///    message aggregation:
+///        T = sum_t max_p [ compute_p(t) + sum_{msgs sent by p at t}
+///                                          (t_start + words*t_comm) ]
+///  * LinkContention — messages are routed over the hypercube's physical
+///    links with deterministic e-cube routing; each link serializes its
+///    traffic, so the communication time of a step is the busiest link's
+///    total (msgs*t_start + words*t_comm).  Models the congestion that the
+///    first two conventions ignore.
 enum class CommAccounting {
   PaperMaxChannel,
   PerStepBarrier,
@@ -53,8 +70,12 @@ struct SimOptions {
   /// detour around failed links, and SimResult reports the degraded totals.
   fault::FaultPlan faults;
   /// Optional tracing/metrics hooks (see obs/obs.hpp).  When both pointers
-  /// are null (the default), the simulator does no extra work at all; the
-  /// instrumented reconstruction runs only when a sink or registry is set.
+  /// are null (the default), the simulator does no extra work at all.  Every
+  /// entry point records the aggregate metrics (steps, messages, words,
+  /// time, fault counters, per-processor iterations); only the dense entry
+  /// point also records the per-step schedule — message word/hop
+  /// histograms, busy/idle steps, the busiest-link series and the
+  /// simulated-clock trace timeline — read off the engine's per-step tables.
   obs::ObsContext obs{};
 };
 
@@ -91,21 +112,22 @@ struct SimResult {
 /// cross-check between simulator variants.
 [[nodiscard]] bool same_outcome(const SimResult& a, const SimResult& b);
 
+/// Dense feed: one iteration run per vertex and one arc run per arc
+/// (O(points·deps) hash lookups), stride 1.  The reference for the other
+/// feeds (`--space verify`), and the only entry point whose observability
+/// includes the per-step schedule.
 SimResult simulate_execution(const ComputationStructure& q, const TimeFunction& tf,
                              const Partition& part, const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
 
-/// Symbolic variant: identical SimResult (totals, steps, messages, words,
-/// per-processor loads, bottlenecks) computed from line-bundle closed forms
-/// — O(lines·deps) line and bundle visits plus, for the per-step
-/// accountings, O(steps·channels) strided difference arrays — without
-/// materializing any index point.
-/// Fault plans are supported: line and bundle runs split at the failure
-/// steps, degraded routes come from the same detour BFS as the dense path
-/// (cached per fault epoch), and node failures reuse the dense spare-node
-/// remap over per-block iteration counts — degraded results match the dense
-/// simulator exactly.  Observability is reduced to aggregate metrics (no
-/// per-message histograms or trace timeline).
+/// Projection-line feed: one run per line and per (line, dependence) arc
+/// bundle — O(lines·deps) visits plus, for the per-step accountings,
+/// O(steps·channels) strided difference arrays — without materializing any
+/// index point.  Fault plans split the runs at the failure steps, route
+/// degraded channels once per fault epoch, and remap node failures over
+/// per-block iteration counts with the dense block ids, so every SimResult
+/// field equals the dense feed's.  Observability is reduced to the
+/// aggregate metrics (no per-message histograms or trace timeline).
 SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
                              const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
@@ -131,7 +153,7 @@ SimResult simulate_execution_closed_form(const GroupLattice& lattice,
                                          const SimOptions& opts = {});
 
 /// The lattice simulator fed line by line (GroupLattice line/bundle
-/// visitations, O(lines·deps)) into the shared symbolic accounting core;
+/// visitations, O(lines·deps)) into the shared accounting engine;
 /// the per-step accountings keep their O(steps·channels) difference
 /// arrays.  Fault plans are supported as in the line-based variant;
 /// link-only plans stay independent of the group count, while node failures
