@@ -29,8 +29,8 @@ const char* to_string(ExecBackend backend) {
 namespace {
 
 IterSpace build_iter_space(const LoopNest& nest, const DependenceInfo& dep, SpaceMode mode) {
-  // Any affine-bounded nest decomposes into slabs; only a decomposition too
-  // large to beat dense enumeration is refused (IterSpace throws
+  // Any affine-bounded nest decomposes into slab runs; only a decomposition
+  // too large to beat dense enumeration is refused (IterSpace throws
   // std::length_error), which we surface as a config error.
   try {
     return IterSpace(nest, dep.distance_vectors());
@@ -157,10 +157,14 @@ PipelineResult run_symbolic(const LoopNest& nest, const PipelineConfig& config) 
   {
     obs::Span span(sink, "dependence_analysis", "pipeline");
     r.dependence = analyze_dependences(nest, config.dependence);
+    span.arg("dependences", static_cast<std::int64_t>(r.dependence.dependences.size()));
+  }
+  {
+    obs::Span span(sink, "iter_space", "pipeline");
     r.space = std::make_unique<IterSpace>(
         build_iter_space(nest, r.dependence, SpaceMode::Symbolic));
     span.arg("iterations", static_cast<std::int64_t>(r.space->size()));
-    span.arg("dependences", static_cast<std::int64_t>(r.dependence.dependences.size()));
+    span.arg("slab_runs", static_cast<std::int64_t>(r.space->runs().size()));
   }
   if (reg != nullptr) {
     reg->add("pipeline.iterations", static_cast<std::int64_t>(r.space->size()));
@@ -305,7 +309,11 @@ bool digraph_weights_equal(const Digraph& a, const Digraph& b) {
 void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
                              PipelineResult& r) {
   obs::Span span(config.obs.trace, "verify_symbolic", "pipeline");
-  r.space = std::make_unique<IterSpace>(build_iter_space(nest, r.dependence, SpaceMode::Verify));
+  {
+    obs::Span build_span(config.obs.trace, "iter_space", "pipeline");
+    r.space =
+        std::make_unique<IterSpace>(build_iter_space(nest, r.dependence, SpaceMode::Verify));
+  }
   auto fail = [](const std::string& what) {
     throw Error(ErrorKind::Internal,
                 "run_pipeline: space_mode=verify: symbolic/dense disagreement on " + what);

@@ -45,6 +45,31 @@ std::int64_t pos_mod(std::int64_t a, std::int64_t m) {
 
 std::int64_t iabs(std::int64_t x) { return x < 0 ? -x : x; }
 
+/// Line-index image {w·x : x in slab v} = [lo(v), hi(v)] of the slabs of
+/// one run (chain layout), each end affine in v.
+struct RunImage {
+  int128 lo_base = 0, lo_slope = 0, hi_base = 0, hi_slope = 0;
+  [[nodiscard]] int128 lo(int128 v) const { return lo_base + lo_slope * v; }
+  [[nodiscard]] int128 hi(int128 v) const { return hi_base + hi_slope * v; }
+  /// [min lo, max hi] over v in [a, b]: the extremes of affine ends.
+  [[nodiscard]] std::pair<std::int64_t, std::int64_t> hull(int128 a, int128 b) const {
+    return {checked::narrow(std::min(lo(a), lo(b)), "line index"),
+            checked::narrow(std::max(hi(a), hi(b)), "line index")};
+  }
+};
+
+RunImage run_image(std::span<const IterSpace::RunBound> b, const IntVec& w) {
+  RunImage im;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const bool pos = w[i] >= 0;
+    im.lo_base += int128{w[i]} * (pos ? b[i].lo_base : b[i].hi_base);
+    im.lo_slope += int128{w[i]} * (pos ? b[i].lo_slope : b[i].hi_slope);
+    im.hi_base += int128{w[i]} * (pos ? b[i].hi_base : b[i].lo_base);
+    im.hi_slope += int128{w[i]} * (pos ? b[i].hi_slope : b[i].lo_slope);
+  }
+  return im;
+}
+
 /// Tiny set of group offsets: per group and dependence at most a handful of
 /// distinct offsets occur (a slot window of width < r lands in at most two
 /// groups per lattice direction), so a linear-scan vector beats a node-based
@@ -132,8 +157,11 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     // line-index image {w·j : j in box} to be a contiguous interval: with
     // unit coordinate i and other coordinate j the image is e_j runs of
     // length e_i shifted by w_j each, connected iff |w_j| <= e_i or there
-    // is a single run.  Try each unit axis; a failure on all of them (or no
+    // is a single run.  Both extents are affine in v along a slab run, so a
+    // run breaks the rule iff {v : e_i(v) < |w_j|} and {v : e_j(v) > 1}
+    // meet inside it.  Try each unit axis; a failure on all of them (or no
     // unit entry at all) falls back.
+    const std::vector<IterSpace::SlabRun>& runs = space.runs();
     bool have_unit = false;
     std::size_t unit_axis = 2;
     for (std::size_t i = 0; i < 2; ++i) {
@@ -141,11 +169,16 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       have_unit = true;
       const std::size_t j = 1 - i;
       bool ok = true;
-      space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
-        std::int64_t ei = box[i].second - box[i].first + 1;
-        std::int64_t ej = box[j].second - box[j].first + 1;
-        if (iabs(gl.w_[j]) > ei && ej > 1) ok = false;
-      });
+      for (std::size_t k = 0; k < runs.size() && ok; ++k) {
+        const std::span<const IterSpace::RunBound> b = space.run_bounds(k);
+        int128 x = runs[k].v_lo, y = runs[k].v_hi;
+        // |w_j| - 1 - e_i(v) >= 0 and e_j(v) - 2 >= 0.
+        clip_nonneg(x, y, int128{iabs(gl.w_[j])} - 2 - b[i].hi_base + b[i].lo_base,
+                    int128{b[i].lo_slope} - b[i].hi_slope);
+        clip_nonneg(x, y, int128{b[j].hi_base} - b[j].lo_base - 1,
+                    int128{b[j].hi_slope} - b[j].lo_slope);
+        ok = x > y;
+      }
       if (ok) {
         unit_axis = i;
         break;
@@ -156,23 +189,27 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     gl.delta_ = IntVec{0, 0};
     gl.delta_[unit_axis] = gl.w_[unit_axis];
 
-    // Line-index interval: each slab box contributes its (contiguous) image;
-    // the union over slabs must be one contiguous interval (a hole would
-    // split the dense BFS chain and the closed forms would mislabel groups).
+    // Line-index interval: the union of the slab images must be one
+    // contiguous interval (a hole would split the dense BFS chain and the
+    // closed forms would mislabel groups).  A hole between the images of
+    // two consecutive slabs v, v+1 is never filled by another slab: the
+    // line w·x = c of a missing c then passes over one slab and under the
+    // other, so it crosses the convex domain strictly between them and
+    // meets no slab at all.  Such a gap inside a run (both gap conditions
+    // are affine in v, so checked at the run's ends) is a hole; otherwise
+    // each run's image is its hull, and the hulls must tile an interval.
     std::vector<std::pair<std::int64_t, std::int64_t>> ivs;
-    space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
-      std::int64_t lo = 0, hi = 0;
-      for (std::size_t i = 0; i < 2; ++i) {
-        if (gl.w_[i] >= 0) {
-          lo += gl.w_[i] * box[i].first;
-          hi += gl.w_[i] * box[i].second;
-        } else {
-          lo += gl.w_[i] * box[i].second;
-          hi += gl.w_[i] * box[i].first;
-        }
+    ivs.reserve(runs.size());
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const RunImage im = run_image(space.run_bounds(k), gl.w_);
+      const int128 a = runs[k].v_lo, b = runs[k].v_hi;
+      for (const int128 v : {a, b - 1}) {
+        if (a == b) break;
+        if (im.lo(v + 1) - im.hi(v) >= 2 || im.lo(v) - im.hi(v + 1) >= 2)
+          return fail("line-interval-hole");
       }
-      ivs.emplace_back(lo, hi);
-    });
+      ivs.push_back(im.hull(a, b));
+    }
     std::sort(ivs.begin(), ivs.end());
     std::int64_t c_lo = ivs.front().first;
     std::int64_t c_hi = ivs.front().second;
@@ -569,19 +606,12 @@ std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
     return boxes;
   }
   const std::int64_t gabs = std::max<std::int64_t>(1, iabs(gamma_l_));
-  space_->for_each_slab_box([&](const std::vector<DimBounds>& box) {
-    std::int64_t lo = 0, hi = 0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      if (w_[i] >= 0) {
-        lo += w_[i] * box[i].first;
-        hi += w_[i] * box[i].second;
-      } else {
-        lo += w_[i] * box[i].second;
-        hi += w_[i] * box[i].first;
-      }
-    }
+  const std::vector<IterSpace::SlabRun>& runs = space_->runs();
+  boxes.reserve(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    const auto [lo, hi] = run_image(space_->run_bounds(k), w_).hull(runs[k].v_lo, runs[k].v_hi);
     // Extreme grouping-chain coordinates over every residue component whose
-    // lines meet this slab's interval (a is monotone in c per component).
+    // lines meet this run's interval (a is monotone in c per component).
     std::int64_t a_lo = std::numeric_limits<std::int64_t>::max();
     std::int64_t a_hi = std::numeric_limits<std::int64_t>::min();
     for (std::size_t m = 0; m < comp_t_.size(); ++m) {
@@ -597,7 +627,7 @@ std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
     }
     if (a_lo > a_hi) a_lo = a_hi = 0;
     boxes.push_back(GroupBox{a_lo, a_hi, lo, hi});
-  });
+  }
   return boxes;
 }
 

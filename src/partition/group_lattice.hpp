@@ -134,7 +134,7 @@ class GroupLattice {
   /// caller falls back to the line-based symbolic path).  When refused and
   /// `fallback_reason` is non-null it receives a stable slug naming the
   /// first failed gate (e.g. "line-interval-hole", "plane-multi-coset").
-  /// O(slabs log slabs) for the chain layout, O(lines) for the plane.
+  /// O(runs log runs) for the chain layout, O(lines) for the plane.
   static std::optional<GroupLattice> build(const IterSpace& space, const TimeFunction& tf,
                                            const GroupingOptions& opts = {},
                                            std::string* fallback_reason = nullptr);
@@ -214,9 +214,9 @@ class GroupLattice {
   /// O(groups · r · dim) — the node-fault remap's block-size feed.
   void for_each_group(const std::function<void(const GroupKey&, std::int64_t pop)>& visit) const;
 
-  /// One lattice box per slab (chain) or per aux chain (plane): the
+  /// One lattice box per slab run (chain) or per aux chain (plane): the
   /// inclusive group-coordinate range along the grouping chain.  Chain
-  /// boxes carry the slab's line-index interval in [c_lo, c_hi]; plane
+  /// boxes carry the run's line-index interval in [c_lo, c_hi]; plane
   /// boxes carry the aux coordinate b in both.
   struct GroupBox {
     std::int64_t a_lo = 0;

@@ -60,10 +60,10 @@ std::optional<TimeFunction> search_time_function(const ComputationStructure& q,
                                                  const TimeFunctionSearchOptions& opts = {});
 
 /// Symbolic variant: identical candidate order and tie-breaks, but the span
-/// is evaluated at slab corners (a linear functional's extremes on a box,
-/// minimized/maximized over the slabs), so the search is
-/// O(candidates · slabs · dim) — it returns exactly the Π the dense search
-/// finds for the same space.
+/// is evaluated at slab corners (a linear functional's extremes on a box),
+/// and a corner is affine along a slab run, so only the run endpoints are
+/// visited: O(candidates · runs · dim) — it returns exactly the Π the dense
+/// search finds for the same space.
 std::optional<TimeFunction> search_time_function(const IterSpace& space,
                                                  const TimeFunctionSearchOptions& opts = {});
 

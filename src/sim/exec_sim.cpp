@@ -208,6 +208,36 @@ struct LinkLoad {
   std::int64_t words = 0;
 };
 
+/// One step's per-link loads: a PairTable over the topology's nodes plus
+/// the links touched in the step, visited in (from, to) order and reset
+/// after, so a step allocates nothing once its links have been seen.
+class StepLinks {
+ public:
+  explicit StepLinks(std::size_t nodes) : loads_(nodes, LinkLoad{}) {}
+  void add(ProcId from, ProcId to, std::int64_t words) {
+    LinkLoad& l = loads_.at(from, to);
+    if (l.msgs == 0) touched_.emplace_back(from, to);
+    ++l.msgs;
+    l.words += words;
+  }
+  [[nodiscard]] bool empty() const { return touched_.empty(); }
+  /// f(link, load) per touched link in (from, to) order, then clear.
+  template <class F>
+  void drain(F&& f) {
+    std::sort(touched_.begin(), touched_.end());
+    for (const std::pair<ProcId, ProcId>& link : touched_) {
+      LinkLoad& l = loads_.at(link.first, link.second);
+      f(link, l);
+      l = LinkLoad{};
+    }
+    touched_.clear();
+  }
+
+ private:
+  PairTable<LinkLoad> loads_;
+  std::vector<std::pair<ProcId, ProcId>> touched_;
+};
+
 /// The accounting core shared by every feed: per-slot loads, then one of
 /// the three accountings, then the metrics.  Fault plans split line and
 /// bundle runs at the failure steps (ownership and routing are constant in
@@ -446,12 +476,12 @@ class Core {
       }
     }
 
+    StepLinks links(std::max(nslots_, topo_.size()));
     for (std::int64_t t = 0; t < in_.steps; ++t) {
       std::int64_t step_iters = 0;
       for (std::size_t p = 0; p < nslots_; ++p) step_iters = std::max(step_iters, st.iters[p][t]);
       if (step_iters == 0) continue;  // messages only originate from computing procs
       res.total += Cost{step_iters * opts_.flops_per_iteration, 0, 0};
-      std::map<std::pair<ProcId, ProcId>, LinkLoad> links;
       for (std::size_t c = 0; c < st.channels.size(); ++c) {
         const Channel& ch = st.channels[c];
         const std::int64_t w = ch.words[t];
@@ -467,9 +497,7 @@ class Core {
         }
         ProcId at = ch.src;
         for (ProcId hop : *hops) {
-          LinkLoad& l = links[{at, hop}];
-          ++l.msgs;
-          l.words += w;
+          links.add(at, hop, w);
           if (fs_.active) total_link_words[{at, hop}] += w;
           at = hop;
         }
@@ -477,13 +505,13 @@ class Core {
       // The busiest link's occupancy, ties to the lowest (from, to) link.
       Cost worst;
       double worst_val = -1.0;
-      for (const auto& [link, load] : links) {
+      links.drain([&](const std::pair<ProcId, ProcId>&, const LinkLoad& load) {
         const Cost c{0, load.msgs, load.words};
         if (c.value(machine_) > worst_val) {
           worst_val = c.value(machine_);
           worst = c;
         }
-      }
+      });
       res.total += worst;
       res.comm_bottleneck += worst;
     }
@@ -592,6 +620,7 @@ class Core {
 
     // Per step: compute phase, then the step's messages serialized per link.
     std::map<std::pair<ProcId, ProcId>, std::int64_t> total_link_words;
+    StepLinks links(std::max(nslots_, topo_.size()));
     double clock = 0.0;
     for (std::int64_t t = 0; t < in_.steps; ++t) {
       const std::int64_t step = t + in_.lo;
@@ -609,7 +638,6 @@ class Core {
       }
       if (!any) continue;
 
-      std::map<std::pair<ProcId, ProcId>, LinkLoad> links;
       for (std::size_t c = 0; c < st.channels.size(); ++c) {
         const Channel& ch = st.channels[c];
         const std::int64_t w = ch.words[t];
@@ -626,9 +654,7 @@ class Core {
                {"step", step}});
         ProcId at = ch.src;
         for (ProcId hop : path(c, step)) {
-          LinkLoad& l = links[{at, hop}];
-          ++l.msgs;
-          l.words += w;
+          links.add(at, hop, w);
           total_link_words[{at, hop}] += w;
           at = hop;
         }
@@ -636,7 +662,8 @@ class Core {
 
       double comm_dur = 0.0;
       std::int64_t busiest_words = 0;
-      for (const auto& [link, load] : links) {
+      const bool any_link = !links.empty();
+      links.drain([&](const std::pair<ProcId, ProcId>& link, const LinkLoad& load) {
         const double occupancy = static_cast<double>(load.msgs) * machine_.t_start +
                                  static_cast<double>(load.words) * machine_.t_comm;
         if (sink != nullptr)
@@ -645,8 +672,8 @@ class Core {
                              {{"step", step}, {"msgs", load.msgs}, {"words", load.words}});
         comm_dur = std::max(comm_dur, occupancy);
         busiest_words = std::max(busiest_words, load.words);
-      }
-      if (!links.empty()) {
+      });
+      if (any_link) {
         if (reg != nullptr)
           reg->append("sim.link.busiest_words", step, static_cast<double>(busiest_words));
         obs::emit_counter(sink, "busiest_link_words", clock + max_compute, obs::kSimPid,

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <random>
+#include <set>
 #include <tuple>
 
 #include "core/error.hpp"
@@ -16,6 +18,7 @@
 #include "loop/iter_space.hpp"
 #include "mapping/tig.hpp"
 #include "partition/checkers.hpp"
+#include "partition/group_lattice.hpp"
 #include "partition/grouping.hpp"
 #include "partition/symbolic.hpp"
 #include "schedule/hyperplane.hpp"
@@ -87,6 +90,13 @@ TEST(IterSpace, StepExtremesAreChecked) {
   // An iteration count past int64 is refused at construction.
   EXPECT_THROW(IterSpace({{0, std::int64_t{1} << 32}, {0, std::int64_t{1} << 32}}, {{1, 0}}),
                OverflowError);
+  // A count so far past int64 that its int128 sum is not certified (upper
+  // bound ~2^127 over 2^42 rows): refused at once by the lower bound.
+  std::vector<AffineDim> tall(3);
+  tall[0] = {AffineExpr(0), AffineExpr(std::int64_t{1} << 42)};
+  tall[1] = {AffineExpr(0), AffineExpr::index(0, 1, std::int64_t{1} << 42)};
+  tall[2] = {AffineExpr(0), AffineExpr(std::int64_t{1} << 42)};
+  EXPECT_THROW((void)IterSpace::from_affine(tall, {{1, 0, 0}}), OverflowError);
 }
 
 TEST(IterSpace, LineRange) {
@@ -525,6 +535,347 @@ TEST(IterSpace, DisjunctiveWorkloadsSizeAndSlabs) {
     expect += static_cast<std::uint64_t>(std::min<std::int64_t>(10, i + 3) -
                                          std::max<std::int64_t>(0, i - 3) + 1);
   EXPECT_EQ(fw.size(), expect);
+}
+
+TEST(IterSpace, AffineChainsAreFewRuns) {
+  // A triangle is one run (the empty i = 1 row is dropped), a pyramid two
+  // (cut where min(i, n-i) switches terms), the banded square three (both
+  // the max and the min switch), whatever N; slab_count() still counts the
+  // per-row boxes.
+  for (const std::int64_t n : {std::int64_t{9}, std::int64_t{1} << 16}) {
+    IterSpace tri = IterSpace::from_nest(workloads::triangular_matvec(n));
+    EXPECT_EQ(tri.runs().size(), 1u);
+    EXPECT_EQ(tri.slab_count(), static_cast<std::size_t>(n - 1));
+    IterSpace pyr = IterSpace::from_nest(workloads::pyramid_stencil(n));
+    EXPECT_EQ(pyr.runs().size(), 2u);
+    EXPECT_EQ(pyr.slab_count(), static_cast<std::size_t>(n + 1));
+    IterSpace fw = IterSpace::from_nest(workloads::floyd_warshall_band(n, 3));
+    EXPECT_EQ(fw.runs().size(), 3u);
+    EXPECT_EQ(fw.slab_count(), static_cast<std::size_t>(n + 1));
+    IterSpace lu = IterSpace::from_nest(workloads::lu_decomposition(n));  // 3-D, k sliced
+    EXPECT_EQ(lu.runs().size(), 1u);
+  }
+  // The run form is what makes N = 2^30 plannable: 2^30 - 1 rows, one run.
+  IterSpace big = IterSpace::from_nest(workloads::triangular_matvec(std::int64_t{1} << 30));
+  EXPECT_EQ(big.runs().size(), 1u);
+  EXPECT_EQ(big.size(), 576460751766552576u);
+  // (0,1) and (1,0) arcs: (N-1)(N-2)/2 each.
+  const std::uint64_t n30 = std::uint64_t{1} << 30;
+  EXPECT_EQ(big.total_arc_count(), (n30 - 1) * (n30 - 2));
+}
+
+// ---- slab runs == per-value slabs ------------------------------------------
+
+/// The per-value slab decomposition the runs replace: one box per value of
+/// the sliced coordinates, keyed by them, with the iteration count summed in
+/// int128 (so a count past INT64_MAX is seen, not wrapped).
+struct RefSlabs {
+  std::vector<std::size_t> sliced;
+  std::vector<IntVec> keys;
+  std::vector<std::vector<DimBounds>> boxes;
+  std::map<IntVec, std::size_t> index;
+  int128 size = 0;
+};
+
+RefSlabs reference_slabs(const std::vector<AffineDim>& dims) {
+  const std::size_t n = dims.size();
+  RefSlabs r;
+  std::vector<bool> referenced(n, false);
+  for (const AffineDim& d : dims)
+    for (const BoundExpr* b : {&d.lower, &d.upper})
+      for (const AffineExpr& e : b->terms)
+        for (std::size_t k = 0; k < e.coeffs.size(); ++k)
+          if (e.coeffs[k] != 0) referenced[k] = true;
+  for (std::size_t k = 0; k < n; ++k)
+    if (referenced[k]) r.sliced.push_back(k);
+  IntVec vals(n, 0);
+  std::function<void(std::size_t)> rec = [&](std::size_t si) {
+    if (si == r.sliced.size()) {
+      std::vector<DimBounds> box(n);
+      int128 points = 1;
+      for (std::size_t j = 0; j < n; ++j) {
+        box[j] = referenced[j] ? DimBounds{vals[j], vals[j]}
+                               : DimBounds{dims[j].lower.evaluate_lower(vals),
+                                           dims[j].upper.evaluate_upper(vals)};
+        if (box[j].first > box[j].second) return;
+        points *= box[j].second - box[j].first + 1;
+      }
+      IntVec key;
+      for (std::size_t d : r.sliced) key.push_back(vals[d]);
+      r.index.emplace(key, r.keys.size());
+      r.keys.push_back(std::move(key));
+      r.boxes.push_back(std::move(box));
+      r.size += points;
+      return;
+    }
+    const std::size_t d = r.sliced[si];
+    const std::int64_t lo = dims[d].lower.evaluate_lower(vals);
+    const std::int64_t hi = dims[d].upper.evaluate_upper(vals);
+    for (std::int64_t v = lo; v <= hi; ++v) {
+      vals[d] = v;
+      rec(si + 1);
+    }
+    vals[d] = 0;
+  };
+  rec(0);
+  return r;
+}
+
+int128 reference_arcs(const RefSlabs& r, const IntVec& d) {
+  int128 total = 0;
+  for (std::size_t s = 0; s < r.keys.size(); ++s) {
+    IntVec key = r.keys[s];
+    for (std::size_t i = 0; i < r.sliced.size(); ++i) key[i] += d[r.sliced[i]];
+    auto it = r.index.find(key);
+    if (it == r.index.end()) continue;
+    const std::vector<DimBounds>& a = r.boxes[s];
+    const std::vector<DimBounds>& b = r.boxes[it->second];
+    int128 prod = 1;
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      const std::int64_t lo = std::max(a[j].first, b[j].first - d[j]);
+      const std::int64_t hi = std::min(a[j].second, b[j].second - d[j]);
+      prod *= hi < lo ? 0 : hi - lo + 1;
+    }
+    total += prod;
+  }
+  return total;
+}
+
+/// Π·x extremes over the per-value boxes (min when `lowest`).
+int128 reference_step(const RefSlabs& r, const IntVec& pi, bool lowest) {
+  int128 best = 0;
+  for (std::size_t s = 0; s < r.boxes.size(); ++s) {
+    int128 v = 0;
+    for (std::size_t i = 0; i < pi.size(); ++i)
+      v += int128{pi[i]} * ((pi[i] >= 0) == lowest ? r.boxes[s][i].first : r.boxes[s][i].second);
+    if (s == 0 || (lowest ? v < best : v > best)) best = v;
+  }
+  return best;
+}
+
+/// GroupLattice::build's chain admission decided box by box on the
+/// per-value slabs: "" when admitted (with the line count), else the slug.
+std::string reference_chain_admission(const RefSlabs& r, const IntVec& pi, std::uint64_t* lines) {
+  const std::int64_t g = content(pi);
+  const IntVec w{pi[1] / g, -(pi[0] / g)};
+  bool have_unit = false;
+  std::size_t unit_axis = 2;
+  for (std::size_t i = 0; i < 2 && unit_axis == 2; ++i) {
+    if (w[i] != 1 && w[i] != -1) continue;
+    have_unit = true;
+    const std::size_t j = 1 - i;
+    bool ok = true;
+    for (const std::vector<DimBounds>& box : r.boxes) {
+      const std::int64_t ei = box[i].second - box[i].first + 1;
+      const std::int64_t ej = box[j].second - box[j].first + 1;
+      if (std::abs(w[j]) > ei && ej > 1) ok = false;
+    }
+    if (ok) unit_axis = i;
+  }
+  if (!have_unit) return "no-unit-w-entry";
+  if (unit_axis == 2) return "slab-interval-hole";
+  std::vector<std::pair<std::int64_t, std::int64_t>> ivs;
+  for (const std::vector<DimBounds>& box : r.boxes) {
+    std::int64_t lo = 0, hi = 0;
+    for (std::size_t i = 0; i < 2; ++i) {
+      lo += w[i] * (w[i] >= 0 ? box[i].first : box[i].second);
+      hi += w[i] * (w[i] >= 0 ? box[i].second : box[i].first);
+    }
+    ivs.emplace_back(lo, hi);
+  }
+  std::sort(ivs.begin(), ivs.end());
+  std::int64_t c_hi = ivs.front().second;
+  for (std::size_t i = 1; i < ivs.size(); ++i) {
+    if (ivs[i].first > c_hi + 1) return "line-interval-hole";
+    c_hi = std::max(c_hi, ivs[i].second);
+  }
+  *lines = static_cast<std::uint64_t>(c_hi - ivs.front().first + 1);
+  return "";
+}
+
+enum class SlabCaseKind { Small, NearInt32, NearInt64Count };
+
+/// Random affine nest for the run/slab differential: 2-D or 3-D, one or two
+/// sliced dimensions, slopes ±1..±3, one- or two-term bounds, ranges around
+/// a negative, zero or ±2^31 origin; NearInt64Count cases have few rows of
+/// huge extent whose total straddles INT64_MAX.
+AffineCase random_slab_case(std::mt19937& rng, SlabCaseKind kind) {
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  AffineCase c;
+  const std::size_t n = static_cast<std::size_t>(pick(2, 3));
+  // Which earlier dimensions each dimension's bounds may reference: 3-D
+  // nests slice dimension 0 only, or dimensions 0 and 1.
+  // (NearInt64Count rows stay few: the reference enumerates every slab.)
+  const bool two_sliced = n == 3 && kind != SlabCaseKind::NearInt64Count && pick(0, 1) == 1;
+  std::int64_t origin = 0;
+  if (kind == SlabCaseKind::NearInt32)
+    origin = pick(0, 1) == 1 ? (std::int64_t{1} << 31) - pick(0, 40)
+                             : -(std::int64_t{1} << 31) + pick(0, 40);
+  else if (kind == SlabCaseKind::Small)
+    origin = pick(-12, 4);
+  std::int64_t huge = 0;  // per-row extent scale of NearInt64Count cases
+  const std::int64_t rows = pick(2, 6);
+  if (kind == SlabCaseKind::NearInt64Count)
+    huge = n == 2 ? INT64_MAX / rows
+                  : static_cast<std::int64_t>(std::sqrt(static_cast<double>(INT64_MAX / rows)));
+  auto slope = [&] {
+    const std::int64_t s = pick(1, 3);
+    return pick(0, 1) == 1 ? s : -s;
+  };
+  // One bound term for dimension j: const + Σ a_k·(x_k - origin) + origin,
+  // so the domain stays near the origin whatever the slopes.
+  auto term = [&](std::size_t j, std::int64_t cst) {
+    AffineExpr e(cst + origin);
+    e.coeffs.assign(j, 0);
+    for (std::size_t k = 0; k < j; ++k) {
+      const bool may = k == 0 ? !(two_sliced && j == 2 && pick(0, 1) == 0) : two_sliced && j == 2;
+      if (!may || pick(0, 3) == 0) continue;
+      e.coeffs[k] = kind == SlabCaseKind::NearInt64Count ? pick(-1, 1) : slope();
+      e.constant -= e.coeffs[k] * origin;
+    }
+    return e;
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j == 0) {
+      const std::int64_t lo = kind == SlabCaseKind::NearInt64Count ? 0 : pick(-4, 2);
+      const std::int64_t hi = kind == SlabCaseKind::NearInt64Count ? rows - 1 : lo + pick(-1, 9);
+      c.dims.push_back({AffineExpr(lo + origin), AffineExpr(hi + origin)});
+      continue;
+    }
+    std::int64_t lo = pick(-6, 3), hi = lo + pick(-2, 10);
+    if (kind == SlabCaseKind::NearInt64Count) {
+      lo = pick(-3, 3);
+      hi = lo + huge - 1 + pick(-4, 4);
+    }
+    BoundExpr lower(term(j, lo)), upper(term(j, hi));
+    if (pick(0, 2) == 0) lower = bmax(term(j, lo), term(j, lo + pick(-4, 4)));
+    if (pick(0, 2) == 0) upper = bmin(term(j, hi), term(j, hi + pick(-4, 4)));
+    c.dims.push_back({std::move(lower), std::move(upper)});
+  }
+  // Make sure the nest is sliced the way it was drawn.
+  if (!c.dims[1].upper.terms[0].coeffs.empty() && c.dims[1].upper.terms[0].coeffs[0] == 0) {
+    c.dims[1].upper.terms[0].coeffs[0] = slope();
+    c.dims[1].upper.terms[0].constant -= c.dims[1].upper.terms[0].coeffs[0] * origin;
+  }
+  if (two_sliced && c.dims[2].lower.terms[0].coeffs[1] == 0) {
+    c.dims[2].lower.terms[0].coeffs[1] = kind == SlabCaseKind::NearInt64Count ? 1 : slope();
+    c.dims[2].lower.terms[0].constant -= c.dims[2].lower.terms[0].coeffs[1] * origin;
+  }
+  const std::int64_t ndeps = pick(1, 3);
+  while (c.deps.size() < static_cast<std::size_t>(ndeps)) {
+    IntVec d(n);
+    for (std::int64_t& x : d) x = pick(-2, 2);
+    auto nz = std::find_if(d.begin(), d.end(), [](std::int64_t x) { return x != 0; });
+    if (nz == d.end()) continue;
+    if (*nz < 0)
+      for (std::int64_t& x : d) x = -x;
+    if (std::find(c.deps.begin(), c.deps.end(), d) == c.deps.end()) c.deps.push_back(d);
+  }
+  return c;
+}
+
+/// Every Π of the search box (|π_k| <= 3, nonzero).
+std::vector<IntVec> search_box(std::size_t n) {
+  std::vector<IntVec> out;
+  IntVec pi(n, -3);
+  while (true) {
+    if (!is_zero(pi)) out.push_back(pi);
+    std::size_t k = 0;
+    while (k < n && pi[k] == 3) pi[k++] = -3;
+    if (k == n) break;
+    ++pi[k];
+  }
+  return out;
+}
+
+TEST(IterSpaceProperty, SlabRunsMatchPerValueSlabs) {
+  std::mt19937 rng(20261019);
+  int compared = 0, multi_run = 0, two_sliced = 0, lattice_checked = 0, overflowed = 0;
+  std::map<std::string, int> outcomes;  // admission verdicts of the 2-D cases
+  const SlabCaseKind kinds[] = {SlabCaseKind::Small, SlabCaseKind::Small,
+                                SlabCaseKind::NearInt32, SlabCaseKind::NearInt64Count};
+  for (int attempt = 0; attempt < 400; ++attempt) {
+    const SlabCaseKind kind = kinds[attempt % 4];
+    AffineCase c = random_slab_case(rng, kind);
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    RefSlabs ref = reference_slabs(c.dims);
+    if (ref.size > INT64_MAX) {
+      // The count passes int64 exactly when the int128 reference does.
+      EXPECT_THROW((void)IterSpace::from_affine(c.dims, c.deps), OverflowError);
+      ++overflowed;
+      continue;
+    }
+    IterSpace space = IterSpace::from_affine(c.dims, c.deps);
+    ASSERT_EQ(static_cast<int128>(space.size()), ref.size);
+    ASSERT_EQ(space.slab_count(), ref.keys.size());
+    ASSERT_EQ(space.sliced_dims(), ref.sliced);
+    ASSERT_LE(space.runs().size(), std::max<std::size_t>(1, ref.keys.size()));
+    if (space.runs().size() > 1) ++multi_run;
+    if (ref.sliced.size() == 2) ++two_sliced;
+    if (space.empty()) continue;
+    ++compared;
+
+    for (const IntVec& pi : search_box(c.dims.size())) {
+      for (const bool lowest : {true, false}) {
+        const int128 want = reference_step(ref, pi, lowest);
+        if (want > INT64_MAX || want < INT64_MIN) {
+          EXPECT_THROW((void)(lowest ? space.min_step(pi) : space.max_step(pi)), OverflowError);
+        } else {
+          EXPECT_EQ(lowest ? space.min_step(pi) : space.max_step(pi), want) << to_string(pi);
+        }
+      }
+    }
+    for (const IntVec& d : c.deps)
+      EXPECT_EQ(static_cast<int128>(space.arc_count(d)), reference_arcs(ref, d)) << to_string(d);
+
+    if (ref.size <= 4000) {
+      // Lines: every point whose predecessor is outside, with the length of
+      // its run along u, from the point set alone.
+      std::vector<IntVec> pts = enumerate_affine(c.dims);
+      std::set<IntVec> in(pts.begin(), pts.end());
+      std::vector<IntVec> dirs = c.deps;
+      dirs.push_back(IntVec(c.dims.size(), 1));
+      for (const IntVec& u : dirs) {
+        std::vector<std::pair<IntVec, std::int64_t>> want, got;
+        for (const IntVec& p : pts) {
+          if (in.contains(sub(p, u))) continue;
+          std::int64_t pop = 0;
+          for (IntVec q = p; in.contains(q); q = add(q, u)) ++pop;
+          want.emplace_back(p, pop);
+        }
+        space.for_each_line(u,
+                            [&](const IntVec& p, std::int64_t pop) { got.emplace_back(p, pop); });
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "u = " << to_string(u);
+      }
+    }
+
+    if (c.dims.size() == 2) {
+      for (const IntVec& pi : search_box(2)) {
+        std::uint64_t want_lines = 0;
+        const std::string want = reference_chain_admission(ref, pi, &want_lines);
+        std::string why;
+        std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{pi}, {}, &why);
+        EXPECT_EQ(gl.has_value() ? std::string() : why, want) << to_string(pi);
+        ++outcomes[want];
+        if (gl && want.empty()) {
+          EXPECT_EQ(gl->line_count(), want_lines) << to_string(pi);
+        }
+      }
+      ++lattice_checked;
+    }
+  }
+  // The generator must reach every shape the runs distinguish.
+  EXPECT_GE(compared, 200);
+  EXPECT_GE(multi_run, 40);
+  EXPECT_GE(two_sliced, 40);
+  EXPECT_GE(lattice_checked, 80);
+  EXPECT_GE(overflowed, 10);
+  for (const char* verdict : {"", "no-unit-w-entry", "slab-interval-hole", "line-interval-hole"})
+    EXPECT_GE(outcomes[verdict], 20) << verdict;
 }
 
 }  // namespace

@@ -275,7 +275,7 @@ int cmd_partition(const PipelineResult& r) {
                   static_cast<long long>(r.lattice_stats->min_block),
                   static_cast<long long>(r.lattice_stats->max_block),
                   static_cast<unsigned long long>(r.lattice_stats->total_iterations));
-    // Chain boxes pair the slab's group range with its line interval; plane
+    // Chain boxes pair a slab run's group range with its line interval; plane
     // boxes pair each aux chain (fixed b) with its group range along a.
     const bool plane = gl.layout() == LatticeLayout::Plane;
     TextTable t({"box", "groups", plane ? "aux chain b" : "lines"});
