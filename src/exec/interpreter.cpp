@@ -1,11 +1,10 @@
 #include "exec/interpreter.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "exec/schedule.hpp"
 #include "loop/index_set.hpp"
 #include "numeric/rat_matrix.hpp"
 
@@ -38,18 +37,6 @@ double default_init(const std::string& array, const IntVec& element) {
   return 0.25 + static_cast<double>(h % 1024) / 4096.0;
 }
 
-namespace {
-
-void require_executable(const LoopNest& nest) {
-  for (const Statement& s : nest.statements())
-    if (!s.is_executable())
-      throw std::invalid_argument("interpreter: statement '" + s.label +
-                                  "' has no executable right-hand side (use "
-                                  "LoopNestBuilder::assign)");
-}
-
-}  // namespace
-
 void require_serializable_updates(const LoopNest& nest) {
   // Distributed execution relies on every element's updates forming a
   // single dependence-ordered chain.  A write access whose nullspace has
@@ -69,28 +56,8 @@ void require_serializable_updates(const LoopNest& nest) {
   }
 }
 
-namespace {
-
-IntVec eval_subscripts(const std::vector<AffineExpr>& subs, const IntVec& iteration) {
-  IntVec element(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) element[i] = subs[i].evaluate(iteration);
-  return element;
-}
-
-/// Execute all statements of one iteration against a load/store interface.
-template <typename LoadFn, typename StoreFn>
-void execute_iteration(const LoopNest& nest, const IntVec& iter, LoadFn&& load, StoreFn&& store) {
-  for (const Statement& s : nest.statements()) {
-    double value = evaluate(s.rhs, load, iter);
-    const ArrayAccess& w = s.accesses.front();  // assign() puts the write first
-    store(w.array, eval_subscripts(w.subscripts, iter), value);
-  }
-}
-
-}  // namespace
-
 ArrayStore run_sequential(const LoopNest& nest, const InitFn& init) {
-  require_executable(nest);
+  require_executable(nest, "run_sequential");
   ArrayStore store;
   IndexSet is(nest);
   auto load = [&](const std::string& array, const IntVec& element) {
@@ -98,11 +65,11 @@ ArrayStore run_sequential(const LoopNest& nest, const InitFn& init) {
     return v ? *v : init(array, element);
   };
   is.for_each([&](const IntVec& iter) {
-    execute_iteration(
-        nest, iter, load,
-        [&](const std::string& array, const IntVec& element, double value) {
-          store.store(array, element, value);
-        });
+    for (const Statement& s : nest.statements()) {
+      double value = evaluate(s.rhs, load, iter);
+      const ArrayAccess& w = s.accesses.front();  // assign() puts the write first
+      store.store(w.array, eval_subscripts(w.subscripts, iter), value);
+    }
   });
   return store;
 }
@@ -111,80 +78,34 @@ DistributedResult run_distributed(const LoopNest& nest, const ComputationStructu
                                   const TimeFunction& tf, const Partition& part,
                                   const Mapping& mapping, const DependenceInfo& deps,
                                   const InitFn& init) {
-  require_executable(nest);
+  require_executable(nest, "run_distributed");
   require_serializable_updates(nest);
-  if (mapping.block_to_proc.size() != part.block_count())
-    throw std::invalid_argument("run_distributed: mapping/partition size mismatch");
-  const std::size_t nprocs = mapping.processor_count;
+  const ExecSchedule sched(q, tf, part, mapping, deps);
+  std::vector<Worker> workers;
+  for (ProcId p = 0; p < sched.processor_count(); ++p) workers.emplace_back(sched, p, nest, init);
 
+  // Every iteration in (step, vertex) order; a crossing value is delivered
+  // by storing it straight into the consumer's local store.
   DistributedResult result;
-  result.stats.per_proc_iterations.assign(nprocs, 0);
-
-  // Processor of every vertex; iterations bucketed by hyperplane step.
-  std::vector<ProcId> vproc(q.vertices().size());
-  std::map<std::int64_t, std::vector<std::size_t>> by_step;
-  for (std::size_t vid = 0; vid < q.vertices().size(); ++vid) {
-    vproc[vid] = mapping.block_to_proc[part.block_of(vid)];
-    by_step[tf.step_of(q.vertices()[vid])].push_back(vid);
+  result.stats.per_proc_iterations.assign(workers.size(), 0);
+  auto deliver = [&](const CrossingSend& send, const std::string& array, const IntVec& element,
+                     double value) {
+    workers[send.target].receive(send.sink, array, element, value);
+    ++result.stats.value_messages;
+    return true;
+  };
+  for (std::size_t k = 0; k < sched.order().size(); ++k) {
+    const std::size_t vid = sched.order()[k];
+    if (k == 0 || sched.step(vid) != sched.step(sched.order()[k - 1])) ++result.stats.steps;
+    ++result.stats.per_proc_iterations[sched.owner(vid)];
+    workers[sched.owner(vid)].step(vid, deliver);
   }
-
-  // Private local stores; reads miss to host memory (halo load) and cache.
-  std::vector<ArrayStore> local(nprocs);
-  // Written-value merge: keep the value of the largest-step writer.
-  std::unordered_map<std::string, std::unordered_map<IntVec, std::pair<std::int64_t, double>,
-                                                     IntVecHash>>
-      written;
-
-  for (const auto& [step, vids] : by_step) {
-    ++result.stats.steps;
-    for (std::size_t vid : vids) {
-      const IntVec& iter = q.vertices()[vid];
-      const ProcId p = vproc[vid];
-      ++result.stats.per_proc_iterations[p];
-
-      auto load = [&](const std::string& array, const IntVec& element) {
-        std::optional<double> v = local[p].load(array, element);
-        if (v) return *v;
-        double h = init(array, element);
-        local[p].store(array, element, h);  // now resident in local memory
-        ++result.stats.halo_loads;
-        return h;
-      };
-      execute_iteration(nest, iter, load,
-                        [&](const std::string& array, const IntVec& element, double value) {
-                          local[p].store(array, element, value);
-                          auto& amap = written[array];
-                          auto it = amap.find(element);
-                          if (it == amap.end() || it->second.first <= step)
-                            amap[element] = {step, value};
-                        });
-
-      // Forward values along every analyzed dependence whose sink iteration
-      // lives on another processor (this is exactly the communication the
-      // partitioning counts as interblock).
-      for (const Dependence& dep : deps.dependences) {
-        IntVec sink = add(iter, dep.distance);
-        auto sink_it = q.vertex_index().find(sink);
-        if (sink_it == q.vertex_index().end()) continue;
-        ProcId pq = vproc[sink_it->second];
-        if (pq == p) continue;
-        IntVec element = eval_subscripts(dep.source_subscripts, iter);
-        std::optional<double> value = local[p].load(dep.array, element);
-        if (!value) {
-          // Source never touched this element locally (possible only for
-          // reuse chains whose access pattern skipped it); ship host data.
-          value = init(dep.array, element);
-          ++result.stats.halo_loads;
-        }
-        local[pq].store(dep.array, element, *value);
-        ++result.stats.value_messages;
-      }
-    }
+  WriteMerge merge;
+  for (const Worker& w : workers) {
+    result.stats.halo_loads += w.halo_loads();
+    merge.add(w.writes());
   }
-
-  for (const auto& [array, values] : written)
-    for (const auto& [element, step_value] : values)
-      result.written.store(array, element, step_value.second);
+  result.written = merge.result();
   return result;
 }
 

@@ -1,10 +1,11 @@
 // hypart — value-level interpreters: sequential and distributed execution.
 //
 // The cost simulator (sim/exec_sim.hpp) prices a partitioned, mapped loop;
-// these interpreters actually *run* it.  The distributed interpreter gives
-// every processor a private local store, executes iterations step by step
-// in hyperplane order, and forwards produced values along the dependence
-// vectors exactly where Algorithm 1's analysis says communication happens.
+// these interpreters actually *run* it.  The distributed interpreter walks
+// the one execution schedule (exec/schedule.hpp) in hyperplane order: every
+// processor has a private local store, and each crossing value is stored
+// straight into its consumer's store, exactly where Algorithm 1's analysis
+// says communication happens.
 // Agreement with the sequential interpreter is the strongest form of the
 // paper's Theorem 1: the partition and mapping preserve program semantics,
 // not just the schedule.
@@ -66,7 +67,7 @@ struct DistributedResult {
 /// Rejects nests whose element updates do not form single dependence-
 /// ordered chains (write-access nullspace of dimension >= 2): the
 /// hyperplane schedule cannot serialize such reductions, so distributed
-/// execution would lose updates.  Called by both distributed executors.
+/// execution would lose updates.  Called by every distributed executor.
 void require_serializable_updates(const LoopNest& nest);
 
 /// Execute the partitioned, mapped nest under message-passing semantics.

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "exec/schedule.hpp"
+
 namespace hypart {
 
 namespace {
@@ -69,19 +71,6 @@ struct AbortState {
   }
 };
 
-struct WriteRecord {
-  std::string array;
-  IntVec element;
-  std::int64_t step;
-  double value;
-};
-
-IntVec eval_subscripts(const std::vector<AffineExpr>& subs, const IntVec& iteration) {
-  IntVec element(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) element[i] = subs[i].evaluate(iteration);
-  return element;
-}
-
 constexpr std::int64_t kRunning = -1;
 constexpr std::int64_t kDone = -2;
 
@@ -91,56 +80,24 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
                                const TimeFunction& tf, const Partition& part,
                                const Mapping& mapping, const DependenceInfo& deps,
                                const ParallelRunOptions& options) {
-  for (const Statement& s : nest.statements())
-    if (!s.is_executable())
-      throw std::invalid_argument("run_parallel: statement '" + s.label +
-                                  "' has no executable right-hand side");
+  require_executable(nest, "run_parallel");
   require_serializable_updates(nest);
-  if (mapping.block_to_proc.size() != part.block_count())
-    throw std::invalid_argument("run_parallel: mapping/partition size mismatch");
   if (options.delivery_attempts < 1)
     throw Error(ErrorKind::Config, "run_parallel: delivery_attempts must be >= 1");
 
   const std::size_t nprocs = mapping.processor_count;
-  const std::size_t nverts = q.vertices().size();
-  const InitFn& init = options.init;
   const obs::ObsContext& obs = options.obs;
   for (ProcId d : options.dead_workers)
     if (d >= nprocs)
       throw Error(ErrorKind::Config,
                   "run_parallel: dead worker " + std::to_string(d) + " out of range");
-
-  // ---- static schedule ------------------------------------------------------
-  std::vector<ProcId> vproc(nverts);
-  std::vector<std::vector<std::size_t>> my_order(nprocs);  // vids per proc
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    vproc[vid] = mapping.block_to_proc[part.block_of(vid)];
-    my_order[vproc[vid]].push_back(vid);
-  }
-  for (auto& order : my_order)
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      std::int64_t sa = tf.step_of(q.vertices()[a]);
-      std::int64_t sb = tf.step_of(q.vertices()[b]);
-      if (sa != sb) return sa < sb;
-      return q.vertices()[a] < q.vertices()[b];
-    });
-
-  // Messages each iteration must receive before it can run.
-  std::vector<std::uint32_t> expected(nverts, 0);
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    for (const Dependence& d : deps.dependences) {
-      IntVec src = sub(q.vertices()[vid], d.distance);
-      auto it = q.vertex_index().find(src);
-      if (it == q.vertex_index().end()) continue;
-      if (vproc[it->second] != vproc[vid]) ++expected[vid];
-    }
-  }
+  const ExecSchedule sched(q, tf, part, mapping, deps);
 
   // ---- runtime state --------------------------------------------------------
   std::vector<Mailbox> mailbox(nprocs);
-  std::vector<std::vector<WriteRecord>> writes(nprocs);
-  std::atomic<std::int64_t> messages_sent{0};
-  std::atomic<std::int64_t> halo_loads{0};
+  std::vector<Worker> workers;
+  workers.reserve(nprocs);
+  for (ProcId p = 0; p < nprocs; ++p) workers.emplace_back(sched, p, nest, options.init);
   AbortState abort;
   const bool watchdog = options.recv_timeout_ms > 0;
   const auto recv_timeout = std::chrono::milliseconds(options.recv_timeout_ms);
@@ -181,11 +138,8 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
   // and read only after join, so no synchronization (and no sink calls from
   // worker threads) is needed.
   std::vector<std::int64_t> proc_messages(nprocs, 0);
-  std::vector<std::int64_t> proc_halo(nprocs, 0);
   std::vector<double> span_begin(nprocs, 0.0), span_end(nprocs, 0.0);
-  std::vector<double> proc_compute_us(nprocs, 0.0);
-  std::vector<double> proc_wait_us(nprocs, 0.0);
-  std::vector<double> proc_send_us(nprocs, 0.0);
+  std::vector<PhaseClocks> clocks(nprocs);
   const bool measure = options.measure_phases;
   const bool timing = obs.trace != nullptr || measure;
 
@@ -197,160 +151,84 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
   // first delivery attempt already sees the closed box deterministically.
   for (ProcId d : options.dead_workers) mailbox[d].closed = true;
 
-  auto worker = [&](ProcId me, bool dead) {
+  auto worker = [&](ProcId me) {
     if (timing) span_begin[me] = obs::wall_clock_us();
-    if (dead) {
-      // Executes nothing; senders hit the closed box and abort the run.
-      blocked_vid[me].store(kDone, std::memory_order_relaxed);
-      if (timing) span_end[me] = obs::wall_clock_us();
-      return;
-    }
-
-    ArrayStore local;
-    std::unordered_map<std::size_t, std::uint32_t> received;
-    auto drain = [&](std::deque<Message>& pending) {
-      for (Message& m : pending) {
-        local.store(m.array, m.element, m.value);
-        ++received[m.sink_vid];
-      }
-      pending.clear();
-    };
-
-    // Phase clocks (measure_phases): accumulate how long this worker spent
-    // blocked on receives, computing iteration bodies, and posting sends.
-    // Each phase costs two steady_clock reads; off the measured path the
-    // lambda bodies never run.
-    using phase_clock = std::chrono::steady_clock;
-    auto phase_us = [](phase_clock::time_point a, phase_clock::time_point b) {
-      return std::chrono::duration<double, std::micro>(b - a).count();
-    };
-
-    for (std::size_t vid : my_order[me]) {
-      // Block until every remote input of this iteration has arrived.  The
-      // watchdog deadline restarts whenever progress (any delivery) is
-      // made; expiring with nothing delivered means the schedule is stuck.
-      if (expected[vid] > 0) {
-        phase_clock::time_point w0;
-        if (measure) w0 = phase_clock::now();
-        blocked_vid[me].store(static_cast<std::int64_t>(vid), std::memory_order_relaxed);
-        std::unique_lock<std::mutex> lock(mailbox[me].mutex);
-        auto deadline = std::chrono::steady_clock::now() + recv_timeout;
-        while (received[vid] < expected[vid]) {
-          outstanding[me].store(expected[vid] - received[vid], std::memory_order_relaxed);
-          if (abort.flag.load(std::memory_order_acquire)) return;
-          if (!mailbox[me].queue.empty()) {
-            std::deque<Message> pending;
-            pending.swap(mailbox[me].queue);
-            lock.unlock();
-            drain(pending);
-            lock.lock();
-            deadline = std::chrono::steady_clock::now() + recv_timeout;
-            continue;
-          }
-          auto wakeup = [&] {
-            return !mailbox[me].queue.empty() || abort.flag.load(std::memory_order_acquire);
-          };
-          if (!watchdog) {
-            mailbox[me].cv.wait(lock, wakeup);
-          } else if (!mailbox[me].cv.wait_until(lock, deadline, wakeup)) {
-            // Timed out with no delivery: declare a stall.
-            lock.unlock();
-            abort.trigger(AbortState::Kind::Stall,
-                          "run_parallel: stall watchdog fired after " +
-                              std::to_string(options.recv_timeout_ms) + " ms (proc " +
-                              std::to_string(me) + " blocked on vertex " +
-                              std::to_string(vid) + ")",
-                          dump_workers());
-            notify_all_workers();
-            return;
-          }
+    Worker& w = workers[me];
+    // Block until every remote input of this iteration has arrived.  The
+    // watchdog deadline restarts whenever progress (any delivery) is made;
+    // expiring with nothing delivered means the schedule is stuck.
+    auto wait = [&](std::size_t vid) {
+      if (w.outstanding(vid) == 0) return true;
+      blocked_vid[me].store(static_cast<std::int64_t>(vid), std::memory_order_relaxed);
+      std::unique_lock<std::mutex> lock(mailbox[me].mutex);
+      auto deadline = std::chrono::steady_clock::now() + recv_timeout;
+      while (w.outstanding(vid) > 0) {
+        outstanding[me].store(w.outstanding(vid), std::memory_order_relaxed);
+        if (abort.flag.load(std::memory_order_acquire)) return false;
+        if (!mailbox[me].queue.empty()) {
+          std::deque<Message> pending;
+          pending.swap(mailbox[me].queue);
+          lock.unlock();
+          for (const Message& m : pending) w.receive(m.sink_vid, m.array, m.element, m.value);
+          lock.lock();
+          deadline = std::chrono::steady_clock::now() + recv_timeout;
+          continue;
         }
-        blocked_vid[me].store(kRunning, std::memory_order_relaxed);
-        outstanding[me].store(0, std::memory_order_relaxed);
-        if (measure) proc_wait_us[me] += phase_us(w0, phase_clock::now());
-      }
-
-      phase_clock::time_point c0;
-      if (measure) c0 = phase_clock::now();
-      const IntVec& iter = q.vertices()[vid];
-      const std::int64_t step = tf.step_of(iter);
-      auto load = [&](const std::string& array, const IntVec& element) {
-        std::optional<double> v = local.load(array, element);
-        if (v) return *v;
-        double h = init(array, element);
-        local.store(array, element, h);
-        halo_loads.fetch_add(1, std::memory_order_relaxed);
-        ++proc_halo[me];
-        return h;
-      };
-      for (const Statement& s : nest.statements()) {
-        double value = evaluate(s.rhs, load, iter);
-        const ArrayAccess& w = s.accesses.front();
-        IntVec element = eval_subscripts(w.subscripts, iter);
-        local.store(w.array, element, value);
-        writes[me].push_back({w.array, std::move(element), step, value});
-      }
-      if (measure) {
-        phase_clock::time_point now = phase_clock::now();
-        proc_compute_us[me] += phase_us(c0, now);
-        c0 = now;  // reuse as the send-phase start
-      }
-
-      // Forward produced/consumed values along every crossing dependence.
-      for (const Dependence& d : deps.dependences) {
-        IntVec sink = add(iter, d.distance);
-        auto it = q.vertex_index().find(sink);
-        if (it == q.vertex_index().end()) continue;
-        ProcId target = vproc[it->second];
-        if (target == me) continue;
-        IntVec element = eval_subscripts(d.source_subscripts, iter);
-        std::optional<double> value = local.load(d.array, element);
-        if (!value) {
-          value = init(d.array, element);
-          halo_loads.fetch_add(1, std::memory_order_relaxed);
-          ++proc_halo[me];
-        }
-        // Deliver with capped backoff: a closed mailbox (dead worker) stays
-        // closed, so after the attempts give up the run aborts typed.
-        bool delivered = false;
-        for (int attempt = 0; attempt < options.delivery_attempts; ++attempt) {
-          if (attempt > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(std::min(8, 1 << (attempt - 1))));
-          if (abort.flag.load(std::memory_order_acquire)) return;
-          if (mailbox[target].post({it->second, d.array, element, *value})) {
-            delivered = true;
-            break;
-          }
-        }
-        if (!delivered) {
-          abort.trigger(AbortState::Kind::WorkerDeath,
-                        "run_parallel: delivery to dead worker " + std::to_string(target) +
-                            " failed after " + std::to_string(options.delivery_attempts) +
-                            " attempts (sender proc " + std::to_string(me) + ", vertex " +
-                            std::to_string(vid) + ")");
+        auto wakeup = [&] {
+          return !mailbox[me].queue.empty() || abort.flag.load(std::memory_order_acquire);
+        };
+        if (!watchdog) {
+          mailbox[me].cv.wait(lock, wakeup);
+        } else if (!mailbox[me].cv.wait_until(lock, deadline, wakeup)) {
+          // Timed out with no delivery: declare a stall.
+          lock.unlock();
+          abort.trigger(AbortState::Kind::Stall,
+                        "run_parallel: stall watchdog fired after " +
+                            std::to_string(options.recv_timeout_ms) + " ms (proc " +
+                            std::to_string(me) + " blocked on vertex " + std::to_string(vid) +
+                            ")",
+                        dump_workers());
           notify_all_workers();
-          return;
+          return false;
         }
-        messages_sent.fetch_add(1, std::memory_order_relaxed);
-        ++proc_messages[me];
       }
-      if (measure) proc_send_us[me] += phase_us(c0, phase_clock::now());
-    }
+      blocked_vid[me].store(kRunning, std::memory_order_relaxed);
+      outstanding[me].store(0, std::memory_order_relaxed);
+      return true;
+    };
+    // Post with capped backoff: a closed mailbox (dead worker) stays closed,
+    // so after the attempts give up the run aborts typed.
+    auto deliver = [&](const CrossingSend& send, const std::string& array, const IntVec& element,
+                       double value) {
+      for (int attempt = 0; attempt < options.delivery_attempts; ++attempt) {
+        if (attempt > 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(std::min(8, 1 << (attempt - 1))));
+        if (abort.flag.load(std::memory_order_acquire)) return false;
+        if (mailbox[send.target].post({send.sink, array, element, value})) {
+          ++proc_messages[me];
+          return true;
+        }
+      }
+      abort.trigger(AbortState::Kind::WorkerDeath,
+                    "run_parallel: delivery to dead worker " + std::to_string(send.target) +
+                        " failed after " + std::to_string(options.delivery_attempts) +
+                        " attempts (sender proc " + std::to_string(me) + ", for vertex " +
+                        std::to_string(send.sink) + ")");
+      notify_all_workers();
+      return false;
+    };
+    // A dead worker executes nothing; senders hit its closed box and abort.
+    if (!mailbox[me].closed && !w.run(wait, deliver, measure ? &clocks[me] : nullptr)) return;
     blocked_vid[me].store(kDone, std::memory_order_relaxed);
     if (timing) span_end[me] = obs::wall_clock_us();
   };
 
-  auto is_dead = [&](ProcId p) {
-    return std::find(options.dead_workers.begin(), options.dead_workers.end(), p) !=
-           options.dead_workers.end();
-  };
   std::vector<std::thread> threads;
   threads.reserve(nprocs);
   for (ProcId p = 0; p < nprocs; ++p)
     threads.emplace_back([&, p] {
       try {
-        worker(p, is_dead(p));
+        worker(p);
       } catch (const std::exception& e) {
         abort.trigger(AbortState::Kind::Internal,
                       "run_parallel: worker " + std::to_string(p) + " threw: " + e.what());
@@ -382,33 +260,22 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
     }
   }
 
-  // ---- merge: last write (largest step) wins --------------------------------
   ParallelRunResult result;
-  std::unordered_map<std::string,
-                     std::unordered_map<IntVec, std::pair<std::int64_t, double>, IntVecHash>>
-      merged;
-  for (const auto& proc_writes : writes) {
-    for (const WriteRecord& w : proc_writes) {
-      auto& amap = merged[w.array];
-      auto it = amap.find(w.element);
-      if (it == amap.end() || it->second.first <= w.step) amap[w.element] = {w.step, w.value};
-    }
+  WriteMerge merge;
+  for (ProcId p = 0; p < nprocs; ++p) {
+    merge.add(workers[p].writes());
+    result.stats.messages_sent += proc_messages[p];
+    result.stats.halo_loads += workers[p].halo_loads();
+    if (!measure) continue;
+    result.stats.per_proc_compute_us.push_back(clocks[p].compute_us);
+    result.stats.per_proc_wait_us.push_back(clocks[p].wait_us);
+    result.stats.per_proc_send_us.push_back(clocks[p].send_us);
+    result.stats.wall_us = std::max(result.stats.wall_us, span_end[p] - span_begin[p]);
   }
-  for (const auto& [array, values] : merged)
-    for (const auto& [element, step_value] : values)
-      result.written.store(array, element, step_value.second);
-  result.stats.messages_sent = messages_sent.load();
-  result.stats.halo_loads = halo_loads.load();
+  result.written = merge.result();
   result.stats.threads = nprocs;
   result.stats.per_proc_messages = proc_messages;
   result.stats.max_mailbox_depth = max_depth;
-  if (measure) {
-    result.stats.per_proc_compute_us = proc_compute_us;
-    result.stats.per_proc_wait_us = proc_wait_us;
-    result.stats.per_proc_send_us = proc_send_us;
-    for (ProcId p = 0; p < nprocs; ++p)
-      result.stats.wall_us = std::max(result.stats.wall_us, span_end[p] - span_begin[p]);
-  }
 
   if (obs.trace != nullptr) {
     for (ProcId p = 0; p < nprocs; ++p) {
@@ -417,7 +284,7 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
       obs::emit_complete(obs.trace, "worker", "runtime", span_begin[p],
                          span_end[p] - span_begin[p], obs::kPipelinePid,
                          obs::kRuntimeTidBase + p,
-                         {{"messages_sent", proc_messages[p]}, {"halo_loads", proc_halo[p]}});
+                         {{"messages_sent", proc_messages[p]}, {"halo_loads", workers[p].halo_loads()}});
     }
   }
   if (obs.metrics != nullptr) {

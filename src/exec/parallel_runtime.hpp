@@ -2,16 +2,17 @@
 //
 // The distributed interpreter (exec/interpreter.hpp) executes the mapped
 // loop deterministically in a single thread; this runtime actually runs it
-// on N concurrent worker threads, one per simulated processor, with
-// per-processor mailboxes (mutex + condition variable) and blocking
-// receives.  No shared mutable array state exists: a worker only touches
-// its own local store and its mailbox, exactly like a node of the paper's
-// message-passing machine.  Every value a remote iteration needs is sent as
-// a typed message and *waited for*, so a partitioning or mapping bug that
-// breaks the schedule shows up as a wrong result or — via the stall
-// watchdog — as a typed StallError with a per-worker diagnostic dump,
-// never as a silent hang.  Injected worker death (a mailbox closed before
-// the run) is surfaced as WorkerDeathError after capped delivery retries.
+// on N concurrent worker threads, one per simulated processor.  Both walk
+// the one schedule (exec/schedule.hpp); here a worker delivers a value by
+// posting it to the consumer's mailbox (mutex + condition variable) and
+// waits with a blocking receive.  No shared mutable array state exists: a
+// worker only touches its own local store and its mailbox, exactly like a
+// node of the paper's message-passing machine.  A partitioning or mapping
+// bug that breaks the schedule shows up as a wrong result or — via the
+// stall watchdog — as a typed StallError with a per-worker diagnostic
+// dump, never as a silent hang.  Injected worker death (a mailbox closed
+// before the run) is surfaced as WorkerDeathError after capped delivery
+// retries.
 //
 // Results must equal sequential execution; the tests assert this under
 // thread-schedule nondeterminism.

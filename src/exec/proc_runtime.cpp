@@ -6,16 +6,17 @@
 #include <cstring>
 #include <optional>
 #include <random>
-#include <unordered_map>
+#include <thread>
 
 #include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "core/io_util.hpp"
 #include "exec/parallel_runtime.hpp"
+#include "exec/schedule.hpp"
 #include "exec/supervisor.hpp"
 #include "fault/remap.hpp"
+#include "mapping/gray.hpp"
 
 namespace hypart {
 
@@ -30,81 +31,12 @@ using exec::SupervisorEvent;
 using exec::SupervisorEventKind;
 using exec::WorkerDeath;
 
-struct WriteRecord {
-  std::string array;
-  IntVec element;
-  std::int64_t step;
-  double value;
-};
-
+/// What a worker's STATS frame reports.
 struct WorkerStats {
-  double compute_us = 0.0;
-  double wait_us = 0.0;
-  double send_us = 0.0;
+  PhaseClocks clocks;
   std::int64_t halo_loads = 0;
   std::int64_t send_retries = 0;
 };
-
-IntVec eval_subscripts(const std::vector<AffineExpr>& subs, const IntVec& iteration) {
-  IntVec element(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) element[i] = subs[i].evaluate(iteration);
-  return element;
-}
-
-void sleep_ms(std::int64_t ms) {
-  timespec ts{};
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = (ms % 1000) * 1000000L;
-  ::nanosleep(&ts, nullptr);
-}
-
-/// The per-epoch static schedule, identical to the threaded runtime's (and
-/// to the program codegen/spmd emits): vertex -> proc, per-proc vertex
-/// order by (hyperplane step, vertex), and per-vertex expected cross-proc
-/// message counts.
-struct Schedule {
-  std::vector<ProcId> vproc;
-  std::vector<std::vector<std::size_t>> my_order;
-  std::vector<std::uint32_t> expected;
-  std::int64_t min_step = 0;
-  std::int64_t max_step = 0;
-};
-
-Schedule build_schedule(const ComputationStructure& q, const TimeFunction& tf,
-                        const Partition& part, const Mapping& mapping,
-                        const DependenceInfo& deps) {
-  const std::size_t nverts = q.vertices().size();
-  const std::size_t nprocs = mapping.processor_count;
-  Schedule s;
-  s.vproc.resize(nverts);
-  s.my_order.resize(nprocs);
-  bool first = true;
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    s.vproc[vid] = mapping.block_to_proc[part.block_of(vid)];
-    s.my_order[s.vproc[vid]].push_back(vid);
-    std::int64_t step = tf.step_of(q.vertices()[vid]);
-    if (first || step < s.min_step) s.min_step = step;
-    if (first || step > s.max_step) s.max_step = step;
-    first = false;
-  }
-  for (auto& order : s.my_order)
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      std::int64_t sa = tf.step_of(q.vertices()[a]);
-      std::int64_t sb = tf.step_of(q.vertices()[b]);
-      if (sa != sb) return sa < sb;
-      return q.vertices()[a] < q.vertices()[b];
-    });
-  s.expected.assign(nverts, 0);
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    for (const Dependence& d : deps.dependences) {
-      IntVec src = sub(q.vertices()[vid], d.distance);
-      auto it = q.vertex_index().find(src);
-      if (it == q.vertex_index().end()) continue;
-      if (s.vproc[it->second] != s.vproc[vid]) ++s.expected[vid];
-    }
-  }
-  return s;
-}
 
 /// Worker-side fault triggers for one proc, derived from the plan.
 struct WorkerFaults {
@@ -119,38 +51,28 @@ bool triggered(const std::optional<std::int64_t>& at, std::int64_t step) {
   return at.has_value() && (*at == fault::kFromStart || step >= *at);
 }
 
-/// The worker body: executes `my_order[me]` of the schedule, receiving
-/// forwarded DATA frames and sending one DATA frame per crossing
-/// dependence, heartbeating whenever it waits.  Runs in the forked child
-/// and never returns.
-void worker_main(int fd, ProcId me, const LoopNest& nest, const ComputationStructure& q,
-                 const TimeFunction& tf, const DependenceInfo& deps, const InitFn& init,
-                 const Schedule& sched, const WorkerFaults& faults,
+/// The worker body: runs its slice of the schedule, receiving forwarded
+/// DATA frames and sending one DATA frame per crossing dependence,
+/// heartbeating whenever it waits.  Runs in the forked child and never
+/// returns.
+void worker_main(int fd, ProcId me, const LoopNest& nest, const InitFn& init,
+                 const ExecSchedule& sched, const WorkerFaults& faults,
                  std::int64_t heartbeat_interval_ms, bool measure) {
-  using phase_clock = std::chrono::steady_clock;
-  auto phase_us = [](phase_clock::time_point a, phase_clock::time_point b) {
-    return std::chrono::duration<double, std::micro>(b - a).count();
-  };
-
-  WorkerStats stats;
-  ArrayStore local;
-  std::unordered_map<std::size_t, std::uint32_t> received;
-  std::vector<WriteRecord> writes;
+  using clock = std::chrono::steady_clock;
+  Worker w(sched, me, nest, init);
+  PhaseClocks clocks;
+  std::int64_t send_retries = 0;
   bool delaying = false;
-  auto last_hb = phase_clock::now();
+  auto last_hb = clock::now();
 
   auto send = [&](const Frame& f) {
     int retries = 0;
     if (!exec::write_frame(fd, f, &retries)) _exit(3);  // supervisor gone
-    stats.send_retries += retries;
+    send_retries += retries;
   };
-  auto heartbeat_if_due = [&] {
-    auto now = phase_clock::now();
-    if (std::chrono::duration<double, std::milli>(now - last_hb).count() >=
-        static_cast<double>(heartbeat_interval_ms)) {
-      send({FrameType::Heartbeat, {}});
-      last_hb = now;
-    }
+  auto heartbeat = [&] {
+    send({FrameType::Heartbeat, {}});
+    last_hb = clock::now();
   };
   auto fire_faults = [&](std::int64_t step) {
     if (triggered(faults.kill_at, step)) ::raise(SIGKILL);
@@ -164,9 +86,46 @@ void worker_main(int fd, ProcId me, const LoopNest& nest, const ComputationStruc
       _exit(4);
     }
     if (triggered(faults.hang_at, step)) {
-      for (;;) sleep_ms(1000);  // silent forever; heartbeat watchdog's case
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));  // silent forever; heartbeat watchdog's case
     }
     if (triggered(faults.delay_at, step)) delaying = true;
+  };
+  auto wait = [&](std::size_t vid) {
+    fire_faults(sched.step(vid));
+    if (std::chrono::duration<double, std::milli>(clock::now() - last_hb).count() >=
+        static_cast<double>(heartbeat_interval_ms))
+      heartbeat();
+    while (w.outstanding(vid) > 0) {
+      int r = exec::wait_readable(fd, static_cast<int>(heartbeat_interval_ms));
+      if (r < 0) _exit(3);
+      if (r == 0) {
+        heartbeat();
+        continue;
+      }
+      Frame f;
+      if (exec::read_frame(fd, f) <= 0) _exit(3);  // supervisor closed our end: epoch is over
+      if (f.type != FrameType::Data) continue;
+      PayloadReader pr(f.payload);
+      (void)pr.u64();  // routing target (us), already consumed by the hub
+      const auto sink = static_cast<std::size_t>(pr.u64());
+      const std::string array = pr.str();
+      const IntVec element = pr.ivec();
+      w.receive(sink, array, element, pr.f64());
+    }
+    return true;
+  };
+  auto deliver = [&](const CrossingSend& cross, const std::string& array, const IntVec& element,
+                     double value) {
+    if (delaying && faults.delay_ms > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(faults.delay_ms));
+    PayloadWriter pw;
+    pw.u64(cross.target);
+    pw.u64(cross.sink);
+    pw.str(array);
+    pw.ivec(element);
+    pw.f64(value);
+    send({FrameType::Data, pw.take()});
+    return true;
   };
 
   {
@@ -174,118 +133,30 @@ void worker_main(int fd, ProcId me, const LoopNest& nest, const ComputationStruc
     pw.u64(me);
     send({FrameType::Hello, pw.take()});
   }
-  fire_faults(sched.min_step - 1);  // kFromStart faults fire before any vertex
-
-  for (std::size_t vid : sched.my_order[me]) {
-    const IntVec& iter = q.vertices()[vid];
-    const std::int64_t step = tf.step_of(iter);
-    fire_faults(step);
-    heartbeat_if_due();
-
-    if (sched.expected[vid] > 0) {
-      phase_clock::time_point w0;
-      if (measure) w0 = phase_clock::now();
-      while (received[vid] < sched.expected[vid]) {
-        int r = exec::wait_readable(fd, static_cast<int>(heartbeat_interval_ms));
-        if (r < 0) _exit(3);
-        if (r == 0) {
-          send({FrameType::Heartbeat, {}});
-          last_hb = phase_clock::now();
-          continue;
-        }
-        Frame f;
-        int rc = exec::read_frame(fd, f);
-        if (rc <= 0) _exit(3);  // supervisor closed our end: epoch is over
-        if (f.type != FrameType::Data) continue;
-        PayloadReader pr(f.payload);
-        (void)pr.u64();  // routing target (us), already consumed by the hub
-        std::size_t sink_vid = static_cast<std::size_t>(pr.u64());
-        std::string array = pr.str();
-        IntVec element = pr.ivec();
-        double value = pr.f64();
-        local.store(array, element, value);
-        ++received[sink_vid];
-      }
-      if (measure) stats.wait_us += phase_us(w0, phase_clock::now());
-    }
-
-    phase_clock::time_point c0;
-    if (measure) c0 = phase_clock::now();
-    auto load = [&](const std::string& array, const IntVec& element) {
-      std::optional<double> v = local.load(array, element);
-      if (v) return *v;
-      double h = init(array, element);
-      local.store(array, element, h);
-      ++stats.halo_loads;
-      return h;
-    };
-    for (const Statement& s : nest.statements()) {
-      double value = evaluate(s.rhs, load, iter);
-      const ArrayAccess& w = s.accesses.front();
-      IntVec element = eval_subscripts(w.subscripts, iter);
-      local.store(w.array, element, value);
-      writes.push_back({w.array, std::move(element), step, value});
-    }
-    if (measure) {
-      phase_clock::time_point now = phase_clock::now();
-      stats.compute_us += phase_us(c0, now);
-      c0 = now;
-    }
-
-    for (const Dependence& d : deps.dependences) {
-      IntVec sink = add(iter, d.distance);
-      auto it = q.vertex_index().find(sink);
-      if (it == q.vertex_index().end()) continue;
-      ProcId target = sched.vproc[it->second];
-      if (target == me) continue;
-      IntVec element = eval_subscripts(d.source_subscripts, iter);
-      std::optional<double> value = local.load(d.array, element);
-      if (!value) {
-        value = init(d.array, element);
-        ++stats.halo_loads;
-      }
-      if (delaying && faults.delay_ms > 0) sleep_ms(faults.delay_ms);
-      PayloadWriter pw;
-      pw.u64(target);
-      pw.u64(it->second);
-      pw.str(d.array);
-      pw.ivec(element);
-      pw.f64(*value);
-      send({FrameType::Data, pw.take()});
-    }
-    if (measure) stats.send_us += phase_us(c0, phase_clock::now());
-  }
-
+  fire_faults(sched.min_step() - 1);  // kFromStart faults fire before any vertex
+  w.run(wait, deliver, measure ? &clocks : nullptr);
   {
     PayloadWriter pw;
-    pw.u32(static_cast<std::uint32_t>(writes.size()));
-    for (const WriteRecord& w : writes) {
-      pw.str(w.array);
-      pw.ivec(w.element);
-      pw.i64(w.step);
-      pw.f64(w.value);
+    pw.u32(static_cast<std::uint32_t>(w.writes().size()));
+    for (const WriteRecord& wr : w.writes()) {
+      pw.str(wr.array);
+      pw.ivec(wr.element);
+      pw.i64(wr.step);
+      pw.f64(wr.value);
     }
     send({FrameType::Writes, pw.take()});
   }
   {
     PayloadWriter pw;
-    pw.f64(stats.compute_us);
-    pw.f64(stats.wait_us);
-    pw.f64(stats.send_us);
-    pw.i64(stats.halo_loads);
-    pw.i64(stats.send_retries);
+    pw.f64(clocks.compute_us);
+    pw.f64(clocks.wait_us);
+    pw.f64(clocks.send_us);
+    pw.i64(w.halo_loads());
+    pw.i64(send_retries);
     send({FrameType::Stats, pw.take()});
   }
   send({FrameType::Done, {}});
   _exit(0);
-}
-
-[[nodiscard]] bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-[[nodiscard]] unsigned log2_exact(std::size_t n) {
-  unsigned d = 0;
-  while ((std::size_t{1} << d) < n) ++d;
-  return d;
 }
 
 }  // namespace
@@ -294,19 +165,19 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
                         const TimeFunction& tf, const Partition& part,
                         const Mapping& mapping, const DependenceInfo& deps,
                         const ProcRunOptions& options) {
-  for (const Statement& s : nest.statements())
-    if (!s.is_executable())
-      throw std::invalid_argument("run_procs: statement '" + s.label +
-                                  "' has no executable right-hand side");
+  require_executable(nest, "run_procs");
   require_serializable_updates(nest);
-  if (mapping.block_to_proc.size() != part.block_count())
-    throw std::invalid_argument("run_procs: mapping/partition size mismatch");
   if (options.max_recoveries < 0)
     throw Error(ErrorKind::Config, "run_procs: max_recoveries must be >= 0");
   if (options.heartbeat_interval_ms <= 0)
     throw Error(ErrorKind::Config, "run_procs: heartbeat_interval_ms must be > 0");
 
   const std::size_t nprocs = mapping.processor_count;
+  // Frames are routed along the hypercube the mapper targets.
+  if (!is_power_of_two(nprocs))
+    throw Error(ErrorKind::Config, "run_procs: " + std::to_string(nprocs) +
+                                       " processors; the process backend needs a power of two");
+  const Hypercube cube(log2_exact(nprocs));
   const obs::ObsContext& obs = options.obs;
   ignore_sigpipe();
 
@@ -356,7 +227,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
 
   // Resolve seeded RandKill terms into concrete Kill faults so every epoch
   // (and every rerun with the same seed) injects identically.
-  Schedule sched = build_schedule(q, tf, part, mapping, deps);
+  ExecSchedule sched(q, tf, part, mapping, deps);
   std::vector<fault::ProcFault> pending_faults;
   for (const fault::ProcFault& f : options.proc_faults) {
     if (f.kind != fault::ProcFaultKind::RandKill) {
@@ -368,17 +239,10 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     kill.kind = fault::ProcFaultKind::Kill;
     kill.proc = static_cast<ProcId>(rng() % nprocs);
     const std::uint64_t steps =
-        static_cast<std::uint64_t>(sched.max_step - sched.min_step) + 1;
-    kill.at_step = sched.min_step + static_cast<std::int64_t>(rng() % steps);
+        static_cast<std::uint64_t>(sched.max_step() - sched.min_step()) + 1;
+    kill.at_step = sched.min_step() + static_cast<std::int64_t>(rng() % steps);
     pending_faults.push_back(kill);
   }
-
-  // The topology frames are routed along.  The mapper targets a hypercube,
-  // so processor counts are powers of two in practice; anything else gets
-  // unit hop charges and least-loaded (instead of spare-neighbor) respawn
-  // placement.
-  std::optional<Hypercube> cube;
-  if (is_power_of_two(nprocs)) cube.emplace(log2_exact(nprocs));
 
   Supervisor::Options sup_opts;
   sup_opts.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
@@ -386,13 +250,10 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
   Supervisor sup(std::move(sup_opts));
 
   std::vector<ProcId> ever_dead;  // cumulative, across epochs
-  Mapping epoch_mapping = mapping;
   const bool measure = options.measure_phases;
   const auto run_clock_start = std::chrono::steady_clock::now();
 
   for (int epoch = 0;; ++epoch) {
-    sched = build_schedule(q, tf, part, epoch_mapping, deps);
-
     std::vector<ProcId> live_procs;
     for (ProcId p = 0; p < nprocs; ++p)
       if (std::find(ever_dead.begin(), ever_dead.end(), p) == ever_dead.end())
@@ -418,8 +279,8 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     bool spawned = sup.spawn(
         live_procs,
         [&](ProcId me, int fd) {
-          worker_main(fd, me, nest, q, tf, deps, options.init, sched, wf[me],
-                      options.heartbeat_interval_ms, measure);
+          worker_main(fd, me, nest, options.init, sched, wf[me], options.heartbeat_interval_ms,
+                      measure);
         },
         &spawn_error);
     if (!spawned) return degrade(spawn_error);
@@ -428,7 +289,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     auto last_progress = epoch_start;
     std::vector<std::pair<ProcId, Frame>> frames;
     std::vector<WorkerDeath> deaths;
-    std::vector<WriteRecord> epoch_writes;
+    WriteMerge epoch_writes;
     std::vector<WorkerStats> epoch_stats(nprocs);
     std::int64_t epoch_messages = 0, epoch_hops = 0;
     std::size_t done = 0;
@@ -451,7 +312,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
                              std::to_string(target);
               break;
             }
-            epoch_hops += cube ? cube->distance(src, target) : 1;
+            epoch_hops += cube.distance(src, target);
             ++epoch_messages;
             sup.send(target, f);
             last_progress = std::chrono::steady_clock::now();
@@ -466,7 +327,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
               w.element = pr.ivec();
               w.step = pr.i64();
               w.value = pr.f64();
-              epoch_writes.push_back(std::move(w));
+              epoch_writes.add(w);
             }
             last_progress = std::chrono::steady_clock::now();
             break;
@@ -474,9 +335,9 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
           case FrameType::Stats: {
             PayloadReader pr(f.payload);
             WorkerStats& ws = epoch_stats[src];
-            ws.compute_us = pr.f64();
-            ws.wait_us = pr.f64();
-            ws.send_us = pr.f64();
+            ws.clocks.compute_us = pr.f64();
+            ws.clocks.wait_us = pr.f64();
+            ws.clocks.send_us = pr.f64();
             ws.halo_loads = pr.i64();
             ws.send_retries = pr.i64();
             break;
@@ -539,19 +400,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
       }
       sup.reset();
 
-      std::unordered_map<std::string,
-                         std::unordered_map<IntVec, std::pair<std::int64_t, double>, IntVecHash>>
-          merged;
-      for (const WriteRecord& w : epoch_writes) {
-        auto& amap = merged[w.array];
-        auto it = amap.find(w.element);
-        if (it == amap.end() || it->second.first <= w.step)
-          amap[w.element] = {w.step, w.value};
-      }
-      for (const auto& [array, values] : merged)
-        for (const auto& [element, step_value] : values)
-          result.written.store(array, element, step_value.second);
-
+      result.written = epoch_writes.result();
       stats.messages_sent = epoch_messages;
       stats.route_hops = epoch_hops;
       stats.workers = live_procs.size();
@@ -560,16 +409,12 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
       for (const WorkerStats& ws : epoch_stats) {
         stats.halo_loads += ws.halo_loads;
         stats.send_retries += ws.send_retries;
+        if (!measure) continue;
+        stats.per_proc_compute_us.push_back(ws.clocks.compute_us);
+        stats.per_proc_wait_us.push_back(ws.clocks.wait_us);
+        stats.per_proc_send_us.push_back(ws.clocks.send_us);
       }
       if (measure) {
-        stats.per_proc_compute_us.assign(nprocs, 0.0);
-        stats.per_proc_wait_us.assign(nprocs, 0.0);
-        stats.per_proc_send_us.assign(nprocs, 0.0);
-        for (ProcId p = 0; p < nprocs; ++p) {
-          stats.per_proc_compute_us[p] = epoch_stats[p].compute_us;
-          stats.per_proc_wait_us[p] = epoch_stats[p].wait_us;
-          stats.per_proc_send_us[p] = epoch_stats[p].send_us;
-        }
         stats.wall_us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - run_clock_start)
                             .count();
@@ -600,52 +445,19 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     }
     pending_faults = std::move(remaining);
 
-    std::size_t before_blocks = stats.migrated_blocks;
-    if (cube) {
-      // Spare-neighbor policy with charged migration, exactly the degraded
-      // -cube accounting the simulator uses (fault/remap.hpp).
-      fault::FaultPlan plan;
-      for (ProcId p : ever_dead) plan.node_faults.push_back({p, fault::kFromStart});
-      fault::FaultSet fset = plan.resolve(*cube);
-      fault::RemapResult remap = fault::remap_for_faults(part, mapping, *cube, fset);
-      epoch_mapping = remap.mapping;
-      stats.migrated_blocks = remap.migrations.size();
-      stats.migration_words = remap.migration_words;
-      for (const fault::Migration& m : remap.migrations)
-        emit_event({SupervisorEventKind::Reassign, m.to,
-                    "block " + std::to_string(m.block) + " from worker " +
-                        std::to_string(m.from) + " (" + std::to_string(m.words) + " words)"});
-    } else {
-      // Non-power-of-two fallback: move each dead proc's blocks to the
-      // least-loaded live proc (load = owned iteration count).
-      std::vector<std::int64_t> block_words(part.block_count(), 0);
-      for (std::size_t vid = 0; vid < q.vertices().size(); ++vid)
-        ++block_words[part.block_of(vid)];
-      std::vector<std::int64_t> load(nprocs, 0);
-      for (std::size_t b = 0; b < part.block_count(); ++b)
-        load[epoch_mapping.block_to_proc[b]] += block_words[b];
-      auto is_dead = [&](ProcId p) {
-        return std::find(ever_dead.begin(), ever_dead.end(), p) != ever_dead.end();
-      };
-      std::size_t migrated = 0;
-      std::int64_t words = 0;
-      for (std::size_t b = 0; b < part.block_count(); ++b) {
-        ProcId owner = epoch_mapping.block_to_proc[b];
-        if (!is_dead(owner)) continue;
-        ProcId best = nprocs;
-        for (ProcId p = 0; p < nprocs; ++p)
-          if (!is_dead(p) && (best == nprocs || load[p] < load[best])) best = p;
-        epoch_mapping.block_to_proc[b] = best;
-        load[best] += block_words[b];
-        ++migrated;
-        words += block_words[b];
-        emit_event({SupervisorEventKind::Reassign, best,
-                    "block " + std::to_string(b) + " from worker " + std::to_string(owner) +
-                        " (" + std::to_string(block_words[b]) + " words)"});
-      }
-      stats.migrated_blocks += migrated;
-      stats.migration_words += words;
-    }
+    // Spare-neighbor policy with charged migration, exactly the degraded-
+    // cube accounting the simulator uses (fault/remap.hpp).
+    fault::FaultPlan plan;
+    for (ProcId p : ever_dead) plan.node_faults.push_back({p, fault::kFromStart});
+    fault::RemapResult remap = fault::remap_for_faults(part, mapping, cube, plan.resolve(cube));
+    const std::size_t before_blocks = stats.migrated_blocks;
+    stats.migrated_blocks = remap.migrations.size();
+    stats.migration_words = remap.migration_words;
+    for (const fault::Migration& m : remap.migrations)
+      emit_event({SupervisorEventKind::Reassign, m.to,
+                  "block " + std::to_string(m.block) + " from worker " +
+                      std::to_string(m.from) + " (" + std::to_string(m.words) + " words)"});
+    sched = ExecSchedule(q, tf, part, remap.mapping, deps);
     if (obs.metrics != nullptr) {
       obs.metrics->add("procs.recoveries");
       obs.metrics->add("procs.migrated_blocks",

@@ -1,18 +1,18 @@
 // hypart — the multi-process execution backend.
 //
-// run_procs() executes the same per-processor SPMD program that
-// codegen/spmd emits and the threaded runtime interprets, but with the
-// paper's machine model taken literally: every simulated processor is a
-// real OS process with a private address space, values cross between them
-// only as framed messages over sockets, and a processor can actually fail.
-// A Supervisor (exec/supervisor.hpp) forks the workers, routes every DATA
+// run_procs() executes the one schedule (exec/schedule.hpp) that
+// codegen/spmd emits and the threaded runtime runs, but with the paper's
+// machine model taken literally: every simulated processor is a real OS
+// process with a private address space, values cross between them only as
+// DATA frames over sockets, and a processor can actually fail.  A
+// Supervisor (exec/supervisor.hpp) forks the workers, routes every DATA
 // frame along the mapped hypercube (charging e-cube hop counts), and
-// watches for crashes, hangs and truncated frames.
+// watches for crashes, hangs and truncated frames.  The processor count
+// must be a power of two.
 //
 // Recovery is epoch restart with block reassignment: when a worker dies,
 // the supervisor kills the epoch, reassigns every dead processor's blocks
-// to a live spare with fault/remap's charged-migration policy (falling
-// back to least-loaded placement on non-power-of-two machines), respawns,
+// to a live spare with fault/remap's charged-migration policy, respawns,
 // and reruns.  Faults that already fired are consumed, so a seeded fault
 // plan converges instead of killing every epoch; after `max_recoveries`
 // restarts the run aborts with WorkerDeathError.  A successful run's
@@ -85,7 +85,8 @@ struct ProcRunOptions {
 /// under supervision.  Deterministic result (equals run_sequential);
 /// throws StallError when the run watchdog fires, WorkerDeathError when
 /// recovery attempts are exhausted, FaultError when a death is
-/// unsurvivable (no live spare), Error(Config) on invalid options.
+/// unsurvivable (no live spare), Error(Config) on invalid options or a
+/// processor count that is not a power of two.
 ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
                         const TimeFunction& tf, const Partition& part,
                         const Mapping& mapping, const DependenceInfo& deps,

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <span>
 
+#include "exec/schedule.hpp"
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "workloads/workloads.hpp"
@@ -176,6 +180,57 @@ TEST(Distributed, StatsConservation) {
   for (std::int64_t c : dist.stats.per_proc_iterations) total += c;
   EXPECT_EQ(total, static_cast<std::int64_t>(f.q->vertices().size()));
   EXPECT_EQ(dist.stats.steps, 11);  // hyperplanes 0..10 on the 6x6 domain
+}
+
+TEST(Schedule, OwnersOrderSendsAndExpectedCountsFollowTheModel) {
+  // The shared schedule against its definition: every vertex sits on its
+  // block's processor exactly once, each processor's slice runs in (step,
+  // vertex) order, the sends are exactly the processor-crossing arcs, and
+  // each vertex expects one value per arc crossing into it.
+  DistFixture f(workloads::sor2d(6, 7), {1, 1});
+  Mapping map = map_round_robin(f.tig, 3);
+  ExecSchedule sched(*f.q, f.tf, f.partition, map, f.deps);
+  const std::size_t n = f.q->vertices().size();
+  ASSERT_EQ(sched.processor_count(), 3u);
+  std::vector<int> seen(n, 0);
+  for (ProcId p = 0; p < sched.processor_count(); ++p) {
+    std::span<const std::size_t> mine = sched.vertices_of(p);
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      ++seen[mine[k]];
+      EXPECT_EQ(sched.owner(mine[k]), map.block_to_proc[f.partition.block_of(mine[k])]);
+      EXPECT_EQ(sched.owner(mine[k]), p);
+      if (k == 0) continue;
+      auto key = [&](std::size_t v) { return std::pair(sched.step(v), f.q->vertices()[v]); };
+      EXPECT_LT(key(mine[k - 1]), key(mine[k]));
+    }
+  }
+  EXPECT_EQ(seen, std::vector<int>(n, 1));
+
+  std::multiset<std::pair<std::size_t, std::size_t>> crossing, sent;
+  std::vector<std::uint32_t> into(n, 0);
+  f.q->for_each_arc([&](const IntVec& a, const IntVec& b, std::size_t) {
+    const std::size_t va = f.q->id_of(a), vb = f.q->id_of(b);
+    if (sched.owner(va) == sched.owner(vb)) return;
+    crossing.insert({va, vb});
+    ++into[vb];
+  });
+  std::int64_t lo = sched.step(0), hi = sched.step(0);
+  for (std::size_t v = 0; v < n; ++v) {
+    EXPECT_EQ(sched.step(v), f.tf.step_of(f.q->vertices()[v]));
+    lo = std::min(lo, sched.step(v));
+    hi = std::max(hi, sched.step(v));
+    EXPECT_EQ(sched.expected(v), into[v]);
+    for (const CrossingSend& send : sched.sends_of(v)) {
+      sent.insert({v, send.sink});
+      EXPECT_EQ(send.target, sched.owner(send.sink));
+      EXPECT_EQ(add(f.q->vertices()[v], f.deps.dependences[send.dep].distance),
+                f.q->vertices()[send.sink]);
+    }
+  }
+  EXPECT_FALSE(crossing.empty());
+  EXPECT_EQ(sent, crossing);
+  EXPECT_EQ(sched.min_step(), lo);
+  EXPECT_EQ(sched.max_step(), hi);
 }
 
 class DistributedEquivalenceProperty

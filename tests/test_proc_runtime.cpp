@@ -13,6 +13,7 @@
 #include <set>
 
 #include "core/error.hpp"
+#include "exec/parallel_runtime.hpp"
 #include "fault/fault_plan.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "obs/ledger.hpp"
@@ -315,6 +316,26 @@ TEST(ProcRuntime, BadOptionsAreConfigErrors) {
   bad_interval.heartbeat_interval_ms = 0;
   EXPECT_THROW(run_procs(f.nest, *f.q, f.tf, f.partition, f.map(1), f.deps, bad_interval),
                Error);
+}
+
+TEST(ProcRuntime, NonPowerOfTwoProcessorCountIsConfigError) {
+  // Frames route along a hypercube, so 3 processors is refused at entry —
+  // before any worker is forked — rather than run with made-up hop charges.
+  RuntimeFixture f(workloads::example_l1(4));
+  Mapping three;
+  three.processor_count = 3;
+  three.block_to_proc.resize(f.partition.block_count());
+  for (std::size_t b = 0; b < three.block_to_proc.size(); ++b) three.block_to_proc[b] = b % 3;
+  try {
+    run_procs(f.nest, *f.q, f.tf, f.partition, three, f.deps);
+    FAIL() << "a 3-processor mapping must be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Config);
+    EXPECT_NE(std::string(e.what()).find("power of two"), std::string::npos);
+  }
+  // The threaded runtime has no topology and runs the same mapping.
+  ParallelRunResult par = run_parallel(f.nest, *f.q, f.tf, f.partition, three, f.deps);
+  EXPECT_TRUE(compare_stores(run_sequential(f.nest), par.written).equal);
 }
 
 // ---- fault grammar ---------------------------------------------------------
