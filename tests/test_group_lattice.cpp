@@ -10,14 +10,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "fault/fault_plan.hpp"
+#include "frontend/parser.hpp"
 #include "graph/comp_structure.hpp"
 #include "loop/iter_space.hpp"
 #include "mapping/hypercube_map.hpp"
@@ -741,6 +745,90 @@ TEST(GroupLattice, ClosedFormHandlesHugeChains) {
   std::int64_t load = 0;
   for (std::int64_t c : sim.per_proc_iterations) load += c;
   EXPECT_EQ(load, n * n);
+}
+
+/// Layout slug of the lattice build on `nest` under its searched Π: "chain",
+/// "plane", or the fallback reason when the gate refuses.
+std::string lattice_verdict(const LoopNest& nest) {
+  DependenceInfo dep = analyze_dependences(nest);
+  IterSpace space(nest, dep.distance_vectors());
+  std::optional<TimeFunction> tf = search_time_function(space);
+  if (!tf) return "no-time-function";
+  std::string why;
+  std::optional<GroupLattice> gl = GroupLattice::build(space, *tf, {}, &why);
+  if (!gl) return why;
+  return gl->layout() == LatticeLayout::Chain ? "chain" : "plane";
+}
+
+TEST(GroupLattice, AdmissionTableOverFactoriesAndPrograms) {
+  // Which inputs still reach the line-based symbolic path is a checked
+  // fact: every workload factory and every sample program, with the
+  // layout it is admitted under or the slug of the gate that refuses it.
+  // A change to this table is a change to the lattice's coverage.
+  const std::vector<std::pair<LoopNest, std::string>> factories = {
+      {workloads::example_l1(6), "chain"},
+      {workloads::matrix_vector(8), "chain"},
+      {workloads::matrix_vector_rewritten(8), "chain"},
+      {workloads::convolution1d(12, 5), "chain"},
+      {workloads::sor2d(9, 7), "chain"},
+      {workloads::strided_recurrence(12, 2), "chain"},
+      {workloads::triangular_matvec(9), "chain"},
+      {workloads::floyd_warshall_band(12, 3), "chain"},
+      {workloads::pyramid_stencil(14), "chain"},
+      {workloads::dft_horner(8), "chain"},
+      {workloads::matrix_multiplication(4), "plane"},
+      {workloads::matrix_multiplication_rewritten(4), "plane"},
+      {workloads::transitive_closure(4), "plane"},
+      {workloads::wavefront3d(5), "plane"},
+      {workloads::skewed_wavefront3d(5), "plane"},
+      {workloads::lu_decomposition(5), "plane"},
+      {workloads::convolution2d(4, 2), "dimension-unsupported"},
+      {workloads::strided_recurrence3d(6, 2), "plane-multi-coset"},
+  };
+  std::map<std::string, int> tally;
+  for (const auto& [nest, want] : factories) {
+    EXPECT_EQ(lattice_verdict(nest), want) << nest.name();
+    ++tally[want];
+  }
+  EXPECT_EQ(factories.size(), 18u);
+  EXPECT_EQ(tally["chain"], 10);
+  EXPECT_EQ(tally["plane"], 6);
+
+  const std::map<std::string, std::string> programs = {
+      {"fw_band.loop", "chain"},   {"lcs_banded.loop", "chain"},
+      {"lu.loop", "plane"},        {"matmul.loop", "plane"},
+      {"pyramid.loop", "chain"},   {"sor.loop", "chain"},
+      {"strided3d.loop", "plane-multi-coset"}, {"wave.loop", "chain"},
+  };
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(HYPART_EXAMPLES_DIR))
+    if (entry.path().extension() == ".loop") found.push_back(entry.path().filename().string());
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> listed;
+  for (const auto& [file, want] : programs) listed.push_back(file);
+  EXPECT_EQ(found, listed) << "examples/programs changed: extend this table";
+  for (const auto& [file, want] : programs) {
+    std::ifstream in(std::string(HYPART_EXAMPLES_DIR) + "/" + file);
+    ASSERT_TRUE(in) << file;
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(lattice_verdict(parse_loop_nest(text.str())), want) << file;
+  }
+}
+
+TEST(GroupLattice, WeightedPlaneMappingFallsBackInPipeline) {
+  // Weighted plane mapping is not closed-form: run_pipeline routes the
+  // admitted plane nest through the line-based path and says why.
+  obs::MetricsRegistry metrics;
+  PipelineConfig cfg;
+  cfg.space_mode = SpaceMode::Symbolic;
+  cfg.mapping.weighted = true;
+  cfg.obs.metrics = &metrics;
+  PipelineResult r = run_pipeline(workloads::matrix_multiplication(4), cfg);
+  EXPECT_EQ(r.lattice, nullptr);
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.count("pipeline.lattice_fallback.weighted-plane-mapping"), 1u);
+  EXPECT_EQ(snap.counters.count("pipeline.lattice_layout.plane"), 0u);
 }
 
 }  // namespace
