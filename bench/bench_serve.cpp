@@ -186,24 +186,36 @@ int connect_unix(const std::string& path) {
   return fd;
 }
 
-bool roundtrip(int fd, const std::string& request, std::string& reply) {
-  std::string line = request;
-  line.push_back('\n');
-  std::size_t off = 0;
-  while (off < line.size()) {
-    ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
+/// One client connection.  Replies are read in 8 KiB chunks; bytes past a
+/// reply's '\n' stay in `pending` for the connection's next reply.
+struct Client {
+  int fd = -1;
+  std::string pending;
+
+  bool roundtrip(const std::string& request, std::string& reply) {
+    std::string line = request;
+    line.push_back('\n');
+    std::size_t off = 0;
+    while (off < line.size()) {
+      ssize_t n = ::write(fd, line.data() + off, line.size() - off);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    char buf[8192];
+    for (std::size_t scanned = 0;;) {
+      std::size_t nl = pending.find('\n', scanned);
+      if (nl != std::string::npos) {
+        reply.assign(pending, 0, nl);
+        pending.erase(0, nl + 1);
+        return true;
+      }
+      scanned = pending.size();
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) return false;
+      pending.append(buf, static_cast<std::size_t>(n));
+    }
   }
-  reply.clear();
-  char c = 0;
-  for (;;) {
-    ssize_t n = ::read(fd, &c, 1);
-    if (n <= 0) return false;
-    if (c == '\n') return true;
-    reply.push_back(c);
-  }
-}
+};
 
 // Multi-connection hit workload against a real Server: N worker threads, N
 // persistent client connections (workers own a connection for its
@@ -226,36 +238,36 @@ void BM_serve_throughput(benchmark::State& state) {
   // Prime one document per connection (sizes differ → distinct exact keys
   // → distinct shards); each client then replays a renamed copy of its own.
   std::vector<std::string> requests(threads);
-  std::vector<int> fds(threads, -1);
+  std::vector<Client> clients(threads);
   std::string reply;
   for (std::size_t t = 0; t < threads; ++t) {
-    fds[t] = connect_unix(sopts.unix_path);
-    if (fds[t] < 0) {
+    clients[t].fd = connect_unix(sopts.unix_path);
+    if (clients[t].fd < 0) {
       state.SkipWithError("connect failed");
       server.request_stop();
       server.stop();
       return;
     }
-    (void)roundtrip(fds[t], plan_request("partition", sor_like("P", 32 + static_cast<int>(t))),
-                    reply);
+    (void)clients[t].roundtrip(
+        plan_request("partition", sor_like("P", 32 + static_cast<int>(t))), reply);
     requests[t] = plan_request("partition", sor_like("C", 32 + static_cast<int>(t)));
   }
 
   for (auto _ : state) {
-    std::vector<std::thread> clients;
-    clients.reserve(threads);
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t) {
-      clients.emplace_back([&, t] {
+      workers.emplace_back([&, t] {
         std::string r;
         for (std::size_t i = 0; i < kPerConn; ++i)
-          if (!roundtrip(fds[t], requests[t], r)) return;
+          if (!clients[t].roundtrip(requests[t], r)) return;
       });
     }
-    for (std::thread& c : clients) c.join();
+    for (std::thread& w : workers) w.join();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(threads * kPerConn));
 
-  for (int fd : fds) ::close(fd);
+  for (const Client& c : clients) ::close(c.fd);
   server.request_stop();
   server.stop();
 }
