@@ -18,7 +18,8 @@
 // document tier but reuses the cached time function (the "pi" disposition).
 // `--op` fixes one query type; the default cycles
 // partition/map/predict/explain.  `--rps R` paces an open loop at R
-// requests/second; the default is a closed loop (send, wait, send).
+// requests/second and times each request from its intended send; the
+// default is a closed loop (send, wait, send) timed from the actual send.
 // `--batch K` wraps every K consecutive requests of a connection's schedule
 // into one {"op":"batch"} line: round-trip latency is then attributed per
 // sub-request (line time / K, so percentiles stay comparable across batch
@@ -287,10 +288,10 @@ int main(int argc, char** argv) {
         mine.push_back(k);
       for (std::size_t i = 0; i < mine.size(); i += o.batch) {
         const std::size_t n = std::min(o.batch, mine.size() - i);
+        std::chrono::steady_clock::time_point due{};
         if (o.rps > 0.0) {
-          auto due = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                 std::chrono::duration<double>(
-                                     static_cast<double>(mine[i]) / o.rps));
+          due = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                            std::chrono::duration<double>(static_cast<double>(mine[i]) / o.rps));
           std::this_thread::sleep_until(due);
         }
         std::string request;
@@ -307,7 +308,10 @@ int main(int argc, char** argv) {
           w.end_object();
           request = w.str();
         }
-        auto t0 = std::chrono::steady_clock::now();
+        // Open loop: latency runs from the intended send, so the queueing a
+        // late send suffers is counted rather than hidden (no coordinated
+        // omission).  Closed loop: from the actual send.
+        const auto t0 = o.rps > 0.0 ? due : std::chrono::steady_clock::now();
         std::string reply_text = conn.roundtrip(request);
         auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
