@@ -392,7 +392,7 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
     }
 
     LatticeSweepResult sweep = lat->sweep(config.validate);
-    if (lat->layout() == LatticeLayout::Chain &&
+    if (lat->closed_form_applies() &&
         !(lat->sweep_closed_form(config.validate) == lat->sweep_per_line(config.validate)))
       fail("lattice sweep closed form vs per-line");
     if (sweep.stats.group_count != r.grouping.group_count() ||
@@ -443,7 +443,7 @@ void verify_against_symbolic(const LoopNest& nest, const PipelineConfig& config,
         sim_opts.flops_per_iteration = config.flops_override.value_or(nest.body_flops());
         sim_opts.obs = {};
         SimResult ls = simulate_execution(*lat, lmap, cube, config.machine, sim_opts);
-        if (lat->layout() == LatticeLayout::Chain &&
+        if (lat->closed_form_applies() &&
             sim_opts.accounting == CommAccounting::PaperMaxChannel &&
             sim_opts.faults.machine_empty() &&
             !same_outcome(
