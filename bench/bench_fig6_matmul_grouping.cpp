@@ -28,8 +28,10 @@ GroupingOptions paper_options(const ProjectedStructure& ps) {
   return opts;
 }
 
-void describe(const char* label, const ComputationStructure& q,
-              const Grouping& g) {
+/// Print one grouping's summary; with a `metrics_prefix`, also record its
+/// group count and full/boundary split as counters.
+void describe(const char* label, const ComputationStructure& q, const Grouping& g,
+              const char* metrics_prefix = nullptr) {
   Partition part = Partition::build(q, g);
   PartitionStats stats = compute_partition_stats(q, part);
   std::printf("%s: r=%lld, groups=%zu, interblock=%zu/%zu, %s\n", label,
@@ -38,6 +40,12 @@ void describe(const char* label, const ComputationStructure& q,
   std::size_t full = 0, partial = 0;
   for (const Group& grp : g.groups()) (grp.size() == 3 ? full : partial)++;
   std::printf("  full groups (3 points): %zu, boundary groups: %zu\n", full, partial);
+  if (metrics_prefix != nullptr) {
+    const std::string prefix = metrics_prefix;
+    bench::metrics().add(prefix + ".groups", static_cast<std::int64_t>(g.group_count()));
+    bench::metrics().add(prefix + ".full_groups", static_cast<std::int64_t>(full));
+    bench::metrics().add(prefix + ".boundary_groups", static_cast<std::int64_t>(partial));
+  }
 }
 
 void report() {
@@ -47,7 +55,7 @@ void report() {
   ProjectedStructure ps(q, TimeFunction{{1, 1, 1}});
 
   Grouping paper = Grouping::compute(ps, paper_options(ps));
-  describe("paper seed (Fig. 6, expects 17 groups)", q, paper);
+  describe("paper seed (Fig. 6, expects 17 groups)", q, paper, "fig6.paper_seed");
 
   TextTable t({"group", "size", "base (rational)", "lattice (a, b)"});
   for (std::size_t i = 0; i < paper.group_count(); ++i) {

@@ -161,7 +161,7 @@ void closed_form_sweep() {
   // registry (the shared dump's existing counters stay as they were); only
   // the lattice layout and closed-form sweep counters are forwarded, so the
   // CI check pipeline.lattice_sweep.closed_form == pipeline.lattice_layout.chain
-  // covers these runs too.
+  // + pipeline.lattice_layout.plane covers these runs too.
   std::printf("\nClosed-form chain sweep + simulator at N = 2^30 (full pipeline):\n");
   TextTable t({"workload", "N", "iterations", "lines", "blocks", "steps", "messages",
                "closed_form", "wall_ms"});

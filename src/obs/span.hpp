@@ -77,6 +77,8 @@ struct PhaseStats {
 class Profiler final : public TraceSink {
  public:
   void event(const TraceEvent& e) override;
+  /// Only wall-clock spans are aggregated; simulated-time events are not.
+  [[nodiscard]] bool consumes_schedule() const override { return false; }
 
   /// Snapshot of the aggregate, name-ordered (deterministic rendering).
   [[nodiscard]] std::map<std::string, PhaseStats> phases() const;
@@ -103,6 +105,11 @@ class TeeSink final : public TraceSink {
   void flush() override {
     for (TraceSink* s : sinks_)
       if (s != nullptr) s->flush();
+  }
+  [[nodiscard]] bool consumes_schedule() const override {
+    for (const TraceSink* s : sinks_)
+      if (s != nullptr && s->consumes_schedule()) return true;
+    return false;
   }
 
  private:

@@ -65,6 +65,10 @@ class TraceSink {
   virtual ~TraceSink() = default;
   virtual void event(const TraceEvent& e) = 0;
   virtual void flush() {}
+  /// Whether the sink reads the simulator's per-step schedule events
+  /// (pid kSimPid: compute, message and transfer events, link names).
+  /// Producers skip building those events for a sink that answers false.
+  [[nodiscard]] virtual bool consumes_schedule() const { return true; }
 };
 
 /// Discards everything; useful to assert the instrumented paths are no-ops.

@@ -18,8 +18,10 @@
 // document tier but reuses the cached time function (the "pi" disposition).
 // `--op` fixes one query type; the default cycles
 // partition/map/predict/explain.  `--rps R` paces an open loop at R
-// requests/second and times each request from its intended send; the
-// default is a closed loop (send, wait, send) timed from the actual send.
+// requests/second and times each request from its intended send (the
+// generator spins the last 200 µs before each slot, and reports its own
+// lateness); the default is a closed loop (send, wait, send) timed from
+// the actual send.
 // `--batch K` wraps every K consecutive requests of a connection's schedule
 // into one {"op":"batch"} line: round-trip latency is then attributed per
 // sub-request (line time / K, so percentiles stay comparable across batch
@@ -174,6 +176,10 @@ std::string make_request(std::int64_t id, const std::string& op, const std::stri
   return w.str();
 }
 
+/// Open loop: how long before a send slot the generator stops sleeping and
+/// spins (perfbench serve-mix spins the same way).
+constexpr std::chrono::microseconds kSpinMargin{200};
+
 /// Latency-percentile buckets: 1-2-5 decades from 1 us to 50 s.
 std::vector<std::int64_t> latency_bounds() {
   std::vector<std::int64_t> bounds;
@@ -186,6 +192,7 @@ struct Tally {
   std::mutex mutex;
   std::map<std::string, obs::HistogramData> latency;  ///< round-trip, per disposition + "all"
   std::map<std::string, obs::HistogramData> plan_us;  ///< server-reported planning time
+  obs::HistogramData gen_late;  ///< --rps: how late the generator sent past each slot
   std::int64_t errors = 0;
   std::map<std::string, std::int64_t> dispositions;
 
@@ -292,7 +299,17 @@ int main(int argc, char** argv) {
         if (o.rps > 0.0) {
           due = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(static_cast<double>(mine[i]) / o.rps));
-          std::this_thread::sleep_until(due);
+          // Sleep to a margin before the slot, then spin: a thread woken
+          // from sleep_until(due) runs late by the host's wake-up latency,
+          // and that lateness would land in every open-loop latency.
+          std::this_thread::sleep_until(due - kSpinMargin);
+          while (std::chrono::steady_clock::now() < due) {
+          }
+          const auto late = std::chrono::duration_cast<std::chrono::microseconds>(
+                                std::chrono::steady_clock::now() - due)
+                                .count();
+          std::lock_guard<std::mutex> lock(tally.mutex);
+          Tally::observe_into(tally.gen_late, late);
         }
         std::string request;
         if (o.batch == 1) {
@@ -409,6 +426,11 @@ int main(int argc, char** argv) {
     w.key("plan_us").begin_object();
     write_histograms(tally.plan_us);
     w.end_object();
+    if (o.rps > 0.0) {
+      w.key("gen_late_us").begin_object();
+      write_histograms({{"send", tally.gen_late}});
+      w.end_object();
+    }
     if (server_stats.has("cache")) w.key("server").raw_value(server_stats.get("cache").to_json());
     w.end_object();
     std::printf("%s\n", w.str().c_str());
@@ -425,6 +447,11 @@ int main(int argc, char** argv) {
                   static_cast<long long>(h.percentile(0.99)),
                   static_cast<long long>(h.percentile(0.999)), static_cast<long long>(h.max));
     }
+    if (o.rps > 0.0)
+      std::printf("  generator lateness p50=%lldus p99=%lldus max=%lldus\n",
+                  static_cast<long long>(tally.gen_late.percentile(0.50)),
+                  static_cast<long long>(tally.gen_late.percentile(0.99)),
+                  static_cast<long long>(tally.gen_late.max));
     for (const auto& [name, h] : tally.plan_us) {
       std::printf("  plan %-5s p50=%lldus max=%lldus (server-side)\n", name.c_str(),
                   static_cast<long long>(h.percentile(0.50)), static_cast<long long>(h.max));
