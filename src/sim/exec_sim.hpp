@@ -19,9 +19,11 @@
 //    (line, dependence) bundle, no index point materialized;
 //  * lattice lines (GroupLattice + LatticeHypercubeMapping): the same runs
 //    visited from the lattice, without Group objects;
-//  * the closed form (chain lattices, fault-free PaperMaxChannel only):
-//    loads and channel volumes summed over breakpoint runs instead of
-//    lines, finished by the engine's PaperMaxChannel total and metrics.
+//  * the closed form (chain lattices and unit-slope plane lattices,
+//    fault-free PaperMaxChannel only): loads and channel volumes summed
+//    over breakpoint runs (and, on planes, folded over b-runs of aux
+//    chains) instead of lines, finished by the engine's PaperMaxChannel
+//    total and metrics.
 #pragma once
 
 #include <cstdint>
@@ -133,20 +135,23 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
                              const MachineParams& machine, const SimOptions& opts = {});
 
 /// Lattice variant: no per-line processor array, no Group objects.
-/// Fault-free PaperMaxChannel (the pipeline and serve default) on a chain
+/// Fault-free PaperMaxChannel (the pipeline and serve default) on a
 /// lattice where GroupLattice::closed_form_pays() runs
-/// simulate_execution_closed_form; every other case (small chains, plane
-/// layout, per-step accountings, fault plans) runs
+/// simulate_execution_closed_form; every other case (small lattices, plane
+/// nests with fractional k-bounds, per-step accountings, fault plans) runs
 /// simulate_execution_per_line.
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
                              const SimOptions& opts = {});
 
-/// Closed-form fault-free PaperMaxChannel on a chain lattice: loads and
-/// channel volumes summed over GroupLattice::for_each_chain_run's runs, cut
-/// at the mapping's processor-run edges — time independent of the line
-/// count, memory O(processors² + breakpoints).  Throws
-/// std::invalid_argument for any other layout, accounting or a fault plan.
+/// Closed-form fault-free PaperMaxChannel: loads and channel volumes
+/// summed over GroupLattice::for_each_chain_run's runs, cut at the
+/// mapping's processor-run edges (chain layout), or taken from
+/// GroupLattice::for_each_plane_owner_total over the fragment index (plane
+/// layout) — time independent of the line count, memory
+/// O(processors² + breakpoints).  Throws std::invalid_argument unless
+/// GroupLattice::closed_form_applies(), for other accountings and for a
+/// fault plan.
 SimResult simulate_execution_closed_form(const GroupLattice& lattice,
                                          const LatticeHypercubeMapping& mapping,
                                          const Topology& topo, const MachineParams& machine,
